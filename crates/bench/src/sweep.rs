@@ -32,6 +32,7 @@ use std::sync::Mutex;
 use bz_core::system::{BtMode, BubbleZeroSystem, SystemConfig};
 use bz_predict::strategy::{MpcConfig, MpcStrategy};
 use bz_simcore::{Rng, SimDuration, SimTime};
+use bz_state::{Checkpoint, Checkpointer, Identity};
 use bz_thermal::disturbance::DisturbanceSchedule;
 use bz_thermal::occupancy::{OccupancyChange, OccupancySchedule};
 use bz_thermal::plant::PlantConfig;
@@ -474,15 +475,12 @@ pub fn parse_kill(spec: &str) -> Result<KillRule, String> {
 const RUN_CKPT_KIND: &str = "sweep-run";
 /// Kind tag of per-run completion records.
 const RUN_DONE_KIND: &str = "sweep-done";
-/// Mid-run checkpoints retained per run.
-const RUN_CKPT_KEEP: usize = 2;
 
-/// The identity CRC binding a run's checkpoints to its spec: restoring
+/// The identity label binding a run's checkpoints to its spec: restoring
 /// under a different scenario, seed, duration, or grid point must be
 /// rejected, not silently continued.
-fn run_crc(spec: &RunSpec) -> u64 {
-    let identity = format!("{} minutes={}", spec.label(), spec.minutes);
-    bz_state::crc64::checksum(identity.as_bytes())
+fn run_identity(spec: &RunSpec) -> String {
+    format!("{} minutes={}", spec.label(), spec.minutes)
 }
 
 fn run_dir(root: &Path, index: usize) -> PathBuf {
@@ -584,59 +582,59 @@ fn run_one_tracked(
     attempt: u32,
     kills: &[KillRule],
 ) -> Result<(RunResult, RunProvenance), String> {
-    let crc = run_crc(spec);
     let mut provenance = RunProvenance::default();
-    let dir = match ckpt {
+    let done_identity = Identity::new(RUN_DONE_KIND, run_identity(spec));
+    let mut checkpoints = match ckpt {
         Some(cfg) => {
-            let dir = bz_state::CheckpointDir::create(run_dir(&cfg.root, spec.index))
-                .map_err(|e| format!("cannot create checkpoint dir: {e}"))?;
-            let done = dir.root().join("done.bzck");
+            let dir = run_dir(&cfg.root, spec.index);
             // --resume trusts state left by a previous invocation; a
             // retry (attempt > 0) additionally trusts what this very
             // invocation wrote before the attempt died.
-            if (cfg.resume || attempt > 0) && done.exists() {
-                match bz_state::Checkpoint::read(&done) {
-                    Ok(record)
-                        if record.meta.kind == RUN_DONE_KIND && record.meta.config_crc == crc =>
-                    {
+            let resume = cfg.resume || attempt > 0;
+            let checkpointer = Checkpointer::new(
+                &dir,
+                Identity::new(RUN_CKPT_KIND, run_identity(spec)),
+                Some(cfg.every_s.max(1) * 1_000),
+                None,
+                resume,
+            )?;
+            let done = dir.join("done.bzck");
+            if resume {
+                // A stale or foreign record (different spec, torn write)
+                // is ignored and the run re-executes from scratch.
+                if let Ok(record) = Checkpoint::read(&done) {
+                    if done_identity.check(&record, "completion record").is_ok() {
                         let result = decode_result(spec, &record.payload)?;
                         provenance.cached = true;
                         return Ok((result, provenance));
                     }
-                    // A stale or foreign record (different spec, torn
-                    // write): ignore it and re-run from scratch.
-                    _ => {}
                 }
             }
-            Some((dir, cfg))
+            Some((checkpointer, done))
         }
         None => None,
     };
 
-    let obs = bz_obs::Handle::isolated();
+    let mut obs = bz_obs::Handle::isolated();
     let mut system = build_system(spec, obs.clone())?;
     let mut start_minute = 0;
-    if let Some((dir, cfg)) = &dir {
-        if cfg.resume || attempt > 0 {
-            let scan = dir
-                .latest_good()
-                .map_err(|e| format!("cannot scan checkpoint dir: {e}"))?;
-            if let Some((_, checkpoint)) = scan.best {
-                if checkpoint.meta.kind == RUN_CKPT_KIND && checkpoint.meta.config_crc == crc {
-                    system
-                        .load_state(&mut bz_state::Reader::new(&checkpoint.payload))
-                        .map_err(|e| format!("checkpoint restore failed: {e}"))?;
-                    start_minute = checkpoint.meta.tick_ms / 60_000;
+    if let Some((checkpointer, _)) = &mut checkpoints {
+        match checkpointer.resume(|r| system.load_state(r)) {
+            Ok(resumed) => {
+                if let Some(tick_ms) = resumed.tick_ms {
+                    start_minute = tick_ms / 60_000;
                     provenance.resumed = true;
                 }
+            }
+            // A foreign or undecodable snapshot is discarded: the run
+            // starts fresh from a rebuilt system.
+            Err(_) => {
+                obs = bz_obs::Handle::isolated();
+                system = build_system(spec, obs.clone())?;
             }
         }
     }
 
-    let mut next_due_s = dir
-        .as_ref()
-        .map(|(_, cfg)| start_minute * 60 + cfg.every_s.max(1));
-    let every_s = dir.as_ref().map_or(u64::MAX, |(_, cfg)| cfg.every_s.max(1));
     for minute in start_minute + 1..=spec.minutes {
         if kills
             .iter()
@@ -648,27 +646,8 @@ fn run_one_tracked(
         }
         system.run_seconds(60);
         obs.record_counters(system.now().as_millis());
-        if let (Some((dir, _)), Some(due)) = (&dir, &mut next_due_s) {
-            let now_s = minute * 60;
-            if now_s >= *due {
-                let mut w = bz_state::Writer::new();
-                system.save_state(&mut w);
-                let checkpoint = bz_state::Checkpoint {
-                    meta: bz_state::CheckpointMeta {
-                        kind: RUN_CKPT_KIND.to_owned(),
-                        tick_ms: system.now().as_millis(),
-                        config_crc: crc,
-                        label: spec.label(),
-                    },
-                    payload: w.into_bytes(),
-                };
-                checkpoint
-                    .write_atomic(&dir.file_for_tick(system.now().as_millis()))
-                    .map_err(|e| format!("checkpoint write failed: {e}"))?;
-                dir.prune(RUN_CKPT_KEEP)
-                    .map_err(|e| format!("checkpoint prune failed: {e}"))?;
-                *due = now_s + every_s;
-            }
+        if let Some((checkpointer, _)) = &mut checkpoints {
+            checkpointer.after_step(system.now().as_millis(), |w| system.save_state(w))?;
         }
     }
     obs.disable();
@@ -720,18 +699,10 @@ fn run_one_tracked(
         summary,
         metrics_jsonl,
     };
-    if let Some((dir, _)) = &dir {
-        let record = bz_state::Checkpoint {
-            meta: bz_state::CheckpointMeta {
-                kind: RUN_DONE_KIND.to_owned(),
-                tick_ms: system.now().as_millis(),
-                config_crc: crc,
-                label: spec.label(),
-            },
-            payload: encode_result(&result),
-        };
-        record
-            .write_atomic(&dir.root().join("done.bzck"))
+    if let Some((_, done)) = &checkpoints {
+        done_identity
+            .envelope(system.now().as_millis(), encode_result(&result))
+            .write_atomic(done)
             .map_err(|e| format!("completion record write failed: {e}"))?;
     }
     Ok((result, provenance))
@@ -1322,6 +1293,47 @@ mod tests {
         let q = &outcome.quarantined[0];
         assert_eq!((q.index, q.attempts), (0, 2));
         assert!(q.error.contains("killed"), "unexpected error: {}", q.error);
+    }
+
+    #[test]
+    fn foreign_run_snapshots_are_discarded_for_a_fresh_start() {
+        let root = scratch("foreign");
+        let sweep = |minutes| {
+            SweepSpec {
+                scenario: Scenario::Trial,
+                seeds: vec![41],
+                minutes,
+                grid: vec![Vec::new()],
+            }
+            .expand()
+        };
+        let checkpointed = |resume| ExecutePlan {
+            jobs: 1,
+            checkpoints: Some(SweepCheckpoints {
+                root: root.clone(),
+                every_s: 60,
+                resume,
+            }),
+            ..ExecutePlan::default()
+        };
+        // A 3-minute sweep leaves snapshots and a completion record that
+        // a 2-minute spec must not trust.
+        let leftover = execute_plan(&sweep(3), &checkpointed(false));
+        assert_eq!(leftover.results.len(), 1);
+        let reused = execute_plan(&sweep(2), &checkpointed(true));
+        assert!(reused.quarantined.is_empty(), "{:?}", reused.quarantined);
+        assert_eq!((reused.cached, reused.resumed), (0, 0));
+        let fresh = execute_plan(
+            &sweep(2),
+            &ExecutePlan {
+                jobs: 1,
+                ..ExecutePlan::default()
+            },
+        );
+        assert_eq!(
+            reused.results[0].metrics_jsonl,
+            fresh.results[0].metrics_jsonl
+        );
     }
 
     #[test]

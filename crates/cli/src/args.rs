@@ -26,6 +26,12 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+impl From<String> for ArgError {
+    fn from(message: String) -> Self {
+        Self(message)
+    }
+}
+
 /// Parsed flags for one subcommand.
 #[derive(Debug, Clone, Default)]
 pub struct Args {

@@ -1,32 +1,31 @@
-//! Crash-safe checkpointing glue shared by the long-running `bzctl`
+//! Checkpoint flags and inspection for the long-running `bzctl`
 //! commands.
 //!
-//! Every resumable command (`trial`, `endurance`, `chaos`, `mpc
-//! simulate`, `bench throughput`) accepts the same flag family:
+//! Every resumable command (`trial`, `endurance`, `chaos`, single-run
+//! `mpc`) accepts the same flag family; `sweep` and `bench throughput`
+//! accept the subset that applies to them:
 //!
 //! * `--checkpoint-dir DIR` — where snapshots live (required by the rest)
 //! * `--checkpoint-every SECS` — simulated seconds between snapshots
 //! * `--resume` — restore from the newest *good* snapshot in the dir
 //! * `--crash-at SECS` — deterministic crash injection for recovery tests
 //!
-//! The module owns flag parsing, the resume scan (corrupt or torn
-//! snapshots are reported and skipped in favor of the newest good one),
-//! the identity check that stops a checkpoint from one configuration
-//! being restored into another, and the periodic atomic writes. See
-//! `docs/CHECKPOINTS.md` for the on-disk format and guarantees.
+//! The module parses the flags into a [`bz_state::Checkpointer`], which
+//! owns the writes, the resume scan and the identity check, and renders
+//! `bzctl checkpoint inspect`. See `docs/CHECKPOINTS.md` for the on-disk
+//! format and guarantees.
 
 use std::fs;
 use std::path::PathBuf;
 
 use crate::args::{ArgError, Args};
-use bz_state::{Checkpoint, CheckpointDir, CheckpointMeta, Reader, StateError, Writer};
+use bz_core::session::Run;
+use bz_state::checkpointer::noise_token;
+use bz_state::{Checkpoint, CheckpointDir, Checkpointer, Identity};
 
 /// The flags this module parses; commands splice them into their
 /// `expect_only` lists.
 pub const FLAGS: &[&str] = &["checkpoint-dir", "checkpoint-every", "resume", "crash-at"];
-
-/// Checkpoints retained per run directory.
-const KEEP: usize = 3;
 
 /// Parsed checkpoint flags, before binding to a specific command run.
 #[derive(Debug, Clone, Default)]
@@ -105,181 +104,45 @@ impl CheckpointOpts {
     /// # Errors
     ///
     /// Fails when the checkpoint directory cannot be created.
-    pub fn session(&self, kind: &str, identity: &str) -> Result<Option<Session>, ArgError> {
+    pub fn session(&self, kind: &str, identity: &str) -> Result<Option<Checkpointer>, ArgError> {
         let Some(root) = &self.dir else {
             return Ok(None);
         };
-        let dir = CheckpointDir::create(root)
-            .map_err(|e| ArgError::new(format!("cannot create checkpoint dir: {e}")))?;
-        Ok(Some(Session {
-            dir,
-            kind: kind.to_owned(),
-            label: identity.to_owned(),
-            config_crc: bz_state::crc64::checksum(identity.as_bytes()),
-            every_ms: self.every_s.map(|s| s * 1_000),
-            next_due_ms: self.every_s.map_or(u64::MAX, |s| s * 1_000),
-            crash_at_ms: self.crash_at_s.map(|s| s * 1_000),
-            resume: self.resume,
-        }))
+        Ok(Some(Checkpointer::new(
+            root,
+            Identity::new(kind, identity),
+            self.every_s.map(|s| s * 1_000),
+            self.crash_at_s.map(|s| s * 1_000),
+            self.resume,
+        )?))
     }
 }
 
-/// What a resume scan found and did.
-#[derive(Debug, Clone, Default)]
-pub struct Resumed {
-    /// Simulated time of the restored snapshot; `None` when no usable
-    /// snapshot existed and the run starts fresh.
-    pub tick_ms: Option<u64>,
-    /// Human-readable notes: one line per corrupt snapshot skipped, plus
-    /// the outcome. The command prints these so recovery is visible.
-    pub notes: Vec<String>,
-}
-
-/// One command run's checkpointing state.
-#[derive(Debug)]
-pub struct Session {
-    dir: CheckpointDir,
-    kind: String,
-    label: String,
-    config_crc: u64,
-    every_ms: Option<u64>,
-    next_due_ms: u64,
-    crash_at_ms: Option<u64>,
-    resume: bool,
-}
-
-impl Session {
-    /// Scans for the newest good snapshot and, under `--resume`,
-    /// restores it through `restore`. Corrupt or torn snapshots are
-    /// reported in the notes and skipped; an older good snapshot wins
-    /// over a newer bad one.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the directory cannot be scanned, when the newest good
-    /// snapshot belongs to a different command or configuration, or when
-    /// its payload does not decode.
-    pub fn resume(
-        &mut self,
-        restore: impl FnOnce(&mut Reader<'_>) -> Result<(), StateError>,
-    ) -> Result<Resumed, ArgError> {
-        let mut resumed = Resumed::default();
-        if !self.resume {
-            return Ok(resumed);
+/// Drives `run` to its end, restoring from and snapshotting into
+/// `session` when checkpointing is on. Resume notes go to `out`.
+///
+/// # Errors
+///
+/// Fails on a refused or unreadable snapshot, a failed write, or the
+/// injected crash.
+pub fn drive(
+    run: &mut dyn Run,
+    mut session: Option<Checkpointer>,
+    out: &mut String,
+) -> Result<(), ArgError> {
+    if let Some(session) = &mut session {
+        let resumed = session.resume(|r| run.load_state(r))?;
+        for note in &resumed.notes {
+            *out += &format!("{note}\n");
         }
-        let scan = self
-            .dir
-            .latest_good()
-            .map_err(|e| ArgError::new(format!("cannot scan checkpoint dir: {e}")))?;
-        for skipped in &scan.skipped {
-            resumed.notes.push(format!(
-                "skipping corrupt checkpoint {}: {}",
-                skipped.path.display(),
-                skipped.error
-            ));
-        }
-        let Some((path, checkpoint)) = scan.best else {
-            resumed
-                .notes
-                .push("no usable checkpoint found; starting fresh".to_owned());
-            return Ok(resumed);
-        };
-        if checkpoint.meta.kind != self.kind {
-            return Err(ArgError::new(format!(
-                "checkpoint {} was written by '{}' (this is '{}'); refusing to resume",
-                path.display(),
-                checkpoint.meta.kind,
-                self.kind
-            )));
-        }
-        if checkpoint.meta.config_crc != self.config_crc {
-            // A label differing ONLY in its noise= token is the versioned
-            // noise-kernel case; name both versions and the fix instead of
-            // the generic configuration message.
-            let stored_noise = noise_token(&checkpoint.meta.label);
-            let our_noise = noise_token(&self.label);
-            if stored_noise != our_noise
-                && without_noise(&checkpoint.meta.label) == without_noise(&self.label)
-            {
-                let stored = stored_noise.unwrap_or("unrecorded");
-                return Err(ArgError::new(format!(
-                    "checkpoint {} was written under noise kernel {stored}, but this run \
-                     uses {}; set BZ_NOISE={stored} to resume it (see docs/CHECKPOINTS.md)",
-                    path.display(),
-                    our_noise.unwrap_or("unrecorded"),
-                )));
-            }
-            return Err(ArgError::new(format!(
-                "checkpoint {} was written under a different configuration ('{}', not '{}'); \
-                 refusing to resume",
-                path.display(),
-                checkpoint.meta.label,
-                self.label
-            )));
-        }
-        let mut reader = Reader::new(&checkpoint.payload);
-        restore(&mut reader).map_err(|e| {
-            ArgError::new(format!(
-                "checkpoint {} failed to restore: {e}",
-                path.display()
-            ))
-        })?;
-        let tick_ms = checkpoint.meta.tick_ms;
-        resumed.notes.push(format!(
-            "resumed from {} at t={}s",
-            path.display(),
-            tick_ms / 1_000
-        ));
-        resumed.tick_ms = Some(tick_ms);
-        if let Some(every) = self.every_ms {
-            self.next_due_ms = tick_ms + every;
-        }
-        Ok(resumed)
     }
-
-    /// Called after every simulation step: writes a snapshot when one is
-    /// due (atomically, pruning to the retention window) and then fires
-    /// the `--crash-at` injection.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a snapshot cannot be written, or — by design — with
-    /// the injected-crash error once `now_ms` reaches `--crash-at`.
-    pub fn after_step(
-        &mut self,
-        now_ms: u64,
-        save: impl FnOnce(&mut Writer),
-    ) -> Result<(), ArgError> {
-        if now_ms >= self.next_due_ms {
-            let mut w = Writer::new();
-            save(&mut w);
-            let checkpoint = Checkpoint {
-                meta: CheckpointMeta {
-                    kind: self.kind.clone(),
-                    tick_ms: now_ms,
-                    config_crc: self.config_crc,
-                    label: self.label.clone(),
-                },
-                payload: w.into_bytes(),
-            };
-            checkpoint
-                .write_atomic(&self.dir.file_for_tick(now_ms))
-                .map_err(|e| ArgError::new(format!("checkpoint write failed: {e}")))?;
-            self.dir
-                .prune(KEEP)
-                .map_err(|e| ArgError::new(format!("checkpoint prune failed: {e}")))?;
-            self.next_due_ms = now_ms + self.every_ms.unwrap_or(u64::MAX);
+    while !run.is_done() {
+        run.step_minute();
+        if let Some(session) = &mut session {
+            session.after_step(run.now_ms(), |w| run.save_state(w))?;
         }
-        if let Some(crash_at) = self.crash_at_ms {
-            if now_ms >= crash_at {
-                return Err(ArgError::new(format!(
-                    "crash injected at t={}s (--crash-at)",
-                    now_ms / 1_000
-                )));
-            }
-        }
-        Ok(())
     }
+    Ok(())
 }
 
 /// Renders `bzctl checkpoint inspect` for one file or a directory.
@@ -348,23 +211,6 @@ fn describe(checkpoint: &Checkpoint) -> String {
     )
 }
 
-/// Extracts the `noise=<version>` token from an identity label.
-fn noise_token(label: &str) -> Option<&str> {
-    label
-        .split_whitespace()
-        .find_map(|token| token.strip_prefix("noise="))
-}
-
-/// The identity label with its `noise=` token removed, for deciding
-/// whether two identities differ only in the noise-kernel version.
-fn without_noise(label: &str) -> String {
-    label
-        .split_whitespace()
-        .filter(|token| !token.starts_with("noise="))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,125 +246,6 @@ mod tests {
     fn zero_cadence_is_rejected() {
         let args = parse(&["--checkpoint-dir", "/tmp/x", "--checkpoint-every", "0"]);
         assert!(CheckpointOpts::from_args(&args).is_err());
-    }
-
-    #[test]
-    fn periodic_writes_land_and_prune() {
-        let root = scratch("periodic");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts.session("trial", "seed=1").unwrap().unwrap();
-        for minute in 1..=6u64 {
-            session
-                .after_step(minute * 60_000, |w| w.put_u64(minute))
-                .unwrap();
-        }
-        let listed = CheckpointDir::open(&root).list().unwrap();
-        assert_eq!(listed.len(), KEEP, "retention window enforced");
-        assert_eq!(listed.last().unwrap().0, 360_000);
-    }
-
-    #[test]
-    fn resume_restores_the_newest_good_and_reports_corruption() {
-        let root = scratch("resume");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            resume: true,
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts.session("trial", "seed=1").unwrap().unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
-        session.after_step(120_000, |w| w.put_u64(2)).unwrap();
-        // Corrupt the newest file: flip a byte in the middle.
-        let newest = CheckpointDir::open(&root).file_for_tick(120_000);
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&newest, bytes).unwrap();
-
-        let mut fresh = opts.session("trial", "seed=1").unwrap().unwrap();
-        let mut restored = 0;
-        let resumed = fresh
-            .resume(|r| {
-                restored = r.take_u64()?;
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(resumed.tick_ms, Some(60_000), "older good snapshot wins");
-        assert_eq!(restored, 1);
-        assert!(
-            resumed.notes.iter().any(|n| n.contains("corrupt")),
-            "corruption must be reported: {:?}",
-            resumed.notes
-        );
-    }
-
-    #[test]
-    fn resume_rejects_checkpoints_from_other_configurations() {
-        let root = scratch("identity");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            resume: true,
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts.session("trial", "seed=1").unwrap().unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
-
-        let mut other_seed = opts.session("trial", "seed=2").unwrap().unwrap();
-        let err = other_seed.resume(|_| Ok(())).unwrap_err();
-        assert!(
-            err.to_string().contains("different configuration"),
-            "unexpected error: {err}"
-        );
-
-        let mut other_kind = opts.session("chaos", "seed=1").unwrap().unwrap();
-        let err = other_kind.resume(|_| Ok(())).unwrap_err();
-        assert!(
-            err.to_string().contains("refusing to resume"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn noise_only_mismatch_names_both_kernel_versions() {
-        let root = scratch("noise");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            resume: true,
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts
-            .session("trial", "trial seed=1 minutes=5 noise=v1")
-            .unwrap()
-            .unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
-
-        let mut other_noise = opts
-            .session("trial", "trial seed=1 minutes=5 noise=v2")
-            .unwrap()
-            .unwrap();
-        let err = other_noise.resume(|_| Ok(())).unwrap_err().to_string();
-        assert!(err.contains("noise kernel v1"), "{err}");
-        assert!(err.contains("uses v2"), "{err}");
-        assert!(err.contains("BZ_NOISE=v1"), "{err}");
-        assert!(
-            !err.contains("different configuration"),
-            "the noise case must replace the generic message: {err}"
-        );
-
-        // A mismatch beyond the noise token keeps the generic message.
-        let mut other_seed = opts
-            .session("trial", "trial seed=2 minutes=5 noise=v2")
-            .unwrap()
-            .unwrap();
-        let err = other_seed.resume(|_| Ok(())).unwrap_err().to_string();
-        assert!(err.contains("different configuration"), "{err}");
     }
 
     #[test]
@@ -558,24 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_injection_fires_after_the_due_snapshot() {
-        let root = scratch("crash");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            crash_at_s: Some(120),
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts.session("trial", "seed=1").unwrap().unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
-        let err = session.after_step(120_000, |w| w.put_u64(2)).unwrap_err();
-        assert!(err.to_string().contains("crash injected"), "{err}");
-        // The snapshot due at the crash instant was still written.
-        let listed = CheckpointDir::open(&root).list().unwrap();
-        assert_eq!(listed.last().unwrap().0, 120_000);
-    }
-
-    #[test]
     fn inspect_renders_good_and_bad_files() {
         let root = scratch("inspect");
         let opts = CheckpointOpts {
@@ -608,15 +317,8 @@ mod tests {
     fn inspect_lists_tenant_named_serve_checkpoints() {
         let root = scratch("inspect-serve");
         std::fs::create_dir_all(&root).unwrap();
-        let checkpoint = Checkpoint {
-            meta: CheckpointMeta {
-                kind: "serve".to_owned(),
-                tick_ms: 120_000,
-                config_crc: 7,
-                label: "serve trial-s0007 minutes=5 noise=v2".to_owned(),
-            },
-            payload: vec![1, 2, 3],
-        };
+        let checkpoint = Identity::new("serve", "serve trial-s0007 minutes=5 noise=v2")
+            .envelope(120_000, vec![1, 2, 3]);
         checkpoint
             .write_atomic(&root.join("tenant-b-001.bzck"))
             .unwrap();

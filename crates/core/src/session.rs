@@ -1,4 +1,6 @@
-//! Externally-paced driving of a [`BubbleZeroSystem`].
+//! Externally-paced driving of a [`BubbleZeroSystem`]: the [`Run`]
+//! trait every minute-stepped run implements, and [`TenantSession`],
+//! the run of a bare sweep-family system.
 //!
 //! The batch runners (`bzctl trial`, the sweep executor) own their step
 //! loop: they advance the system minute by minute until the scenario
@@ -10,14 +12,61 @@
 //! tenant driven one request at a time exports **byte-identical** JSONL
 //! to the same scenario run offline.
 //!
-//! The session is checkpointable through the same `bz-state` seam as the
-//! system itself: [`TenantSession::save_state`] round-trips through
-//! [`TenantSession::load_state`] into a byte-identical continuation.
+//! Every [`Run`] is checkpointable through the same `bz-state` seam as
+//! the system itself: [`Run::save_state`] round-trips through
+//! [`Run::load_state`] into a byte-identical continuation.
 
 use bz_thermal::airbox::FanLevel;
 use bz_thermal::zone::SubspaceId;
 
 use crate::system::BubbleZeroSystem;
+
+/// A closed-loop run stepped from the outside one simulated minute at a
+/// time: the sweep-family [`TenantSession`], the chaos run and the
+/// strategy (reactive or MPC) run. `bzctl` drives one to its end under
+/// the checkpointer; `bzctl serve` hosts one per tenant.
+pub trait Run {
+    /// Simulated milliseconds completed so far.
+    fn now_ms(&self) -> u64;
+
+    /// True once the scenario duration has fully run.
+    fn is_done(&self) -> bool;
+
+    /// Advances one simulated minute (less at the end of the run) and
+    /// samples the per-minute counters. A no-op once [`is_done`](Self::is_done).
+    fn step_minute(&mut self);
+
+    /// Serializes the dynamic run state for checkpointing.
+    fn save_state(&self, w: &mut bz_state::Writer);
+
+    /// Restores state written by [`save_state`](Self::save_state) into a
+    /// run freshly built from the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`bz_state::StateError`] for truncated or corrupt
+    /// payloads, or a snapshot that does not fit this run's duration.
+    fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError>;
+
+    /// The run's metrics handle.
+    fn obs(&self) -> &bz_obs::Handle;
+
+    /// The setpoint/actuation readback, for runs that expose one.
+    fn readback(&self) -> Option<SetpointReadback> {
+        None
+    }
+
+    /// Records an externally observed sensor reading as the gauge
+    /// `ingest.<name>` at the current simulated time. Ingest is
+    /// telemetry-only: it never perturbs the control loop, so a run that
+    /// receives no observations stays byte-identical to the offline run,
+    /// and one that does is deterministic given the same observations at
+    /// the same simulated instants.
+    fn ingest(&mut self, name: &str, value: f64) {
+        self.obs()
+            .gauge_set(format!("ingest.{name}"), self.now_ms(), value);
+    }
+}
 
 /// Readback of one airbox / CO₂flap actuation pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,12 +122,6 @@ impl TenantSession {
         }
     }
 
-    /// Simulated milliseconds completed so far.
-    #[must_use]
-    pub fn now_ms(&self) -> u64 {
-        self.system.now().as_millis()
-    }
-
     /// Whole simulated minutes completed so far.
     #[must_use]
     pub fn minute(&self) -> u64 {
@@ -91,34 +134,10 @@ impl TenantSession {
         self.total_minutes
     }
 
-    /// True once the scenario duration has fully run.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.minute() >= self.total_minutes
-    }
-
     /// The wrapped system (read-only).
     #[must_use]
     pub fn system(&self) -> &BubbleZeroSystem {
         &self.system
-    }
-
-    /// The session's metrics handle.
-    #[must_use]
-    pub fn obs(&self) -> &bz_obs::Handle {
-        &self.obs
-    }
-
-    /// Advances one simulated minute — 60 one-second steps, then the
-    /// per-minute counter sample that puts trajectories (not just totals)
-    /// in the export, exactly as `bzctl trial` and the sweep runner do.
-    /// A no-op once the session [`is_done`](Self::is_done).
-    pub fn step_minute(&mut self) {
-        if self.is_done() {
-            return;
-        }
-        self.system.run_seconds(60);
-        self.obs.record_counters(self.system.now().as_millis());
     }
 
     /// Steps until minute `target` (clamped to the scenario duration) and
@@ -131,22 +150,65 @@ impl TenantSession {
         }
         self.minute() - before
     }
+}
 
-    /// Records an externally observed sensor reading into the session's
-    /// metrics registry as a gauge `ingest.<name>` stamped at the current
-    /// simulation time. Ingest is telemetry-only: it never perturbs the
-    /// control loop, so a tenant that receives no observations stays
-    /// byte-identical to the offline run, and one that does is
-    /// deterministic given the same observation sequence at the same
-    /// simulated instants.
-    pub fn ingest_observation(&mut self, name: &str, value: f64) {
-        self.obs
-            .gauge_set(format!("ingest.{name}"), self.now_ms(), value);
+impl Run for TenantSession {
+    fn now_ms(&self) -> u64 {
+        self.system.now().as_millis()
     }
 
-    /// The current setpoint/actuation readback.
-    #[must_use]
-    pub fn readback(&self) -> SetpointReadback {
+    fn is_done(&self) -> bool {
+        self.minute() >= self.total_minutes
+    }
+
+    /// 60 one-second steps, then the per-minute counter sample that puts
+    /// trajectories (not just totals) in the export, exactly as `bzctl
+    /// trial` and the sweep runner do.
+    fn step_minute(&mut self) {
+        if self.is_done() {
+            return;
+        }
+        self.system.run_seconds(60);
+        self.obs.record_counters(self.system.now().as_millis());
+    }
+
+    /// The system snapshot already carries the obs registry, so the
+    /// metrics trajectory survives a restore.
+    fn save_state(&self, w: &mut bz_state::Writer) {
+        self.system.save_state(w);
+        w.put_u64(self.total_minutes);
+    }
+
+    fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
+        self.system.load_state(r)?;
+        let total_minutes = r.take_u64()?;
+        if total_minutes != self.total_minutes {
+            return Err(bz_state::StateError::Invalid {
+                what: "TenantSession",
+                reason: format!(
+                    "snapshot is of a {total_minutes}-minute run, this session runs {} minutes",
+                    self.total_minutes
+                ),
+            });
+        }
+        if self.minute() > self.total_minutes {
+            return Err(bz_state::StateError::Invalid {
+                what: "TenantSession",
+                reason: format!(
+                    "snapshot is {} minute(s) into a run of only {} minute(s)",
+                    self.minute(),
+                    self.total_minutes
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    fn obs(&self) -> &bz_obs::Handle {
+        &self.obs
+    }
+
+    fn readback(&self) -> Option<SetpointReadback> {
         let plant = self.system.plant();
         let commands = self.system.commands();
         let mut zone_temp_c = [0.0; 4];
@@ -170,54 +232,14 @@ impl TenantSession {
             fan: fan_label(airbox.fan),
             flap_open: airbox.flap_open,
         });
-        SetpointReadback {
+        Some(SetpointReadback {
             now_ms: self.now_ms(),
             zone_temp_c,
             zone_dew_c,
             radiant_v,
             airboxes,
             strategy: self.system.strategy_name(),
-        }
-    }
-
-    /// Serializes the session for checkpointing. The system snapshot
-    /// already carries the obs registry, so the metrics trajectory
-    /// survives a restore.
-    pub fn save_state(&self, w: &mut bz_state::Writer) {
-        self.system.save_state(w);
-        w.put_u64(self.total_minutes);
-    }
-
-    /// Restores state written by [`TenantSession::save_state`] into a
-    /// session freshly built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`bz_state::StateError`] for truncated or corrupt
-    /// payloads, or a snapshot taken past this session's duration.
-    pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
-        self.system.load_state(r)?;
-        let total_minutes = r.take_u64()?;
-        if total_minutes != self.total_minutes {
-            return Err(bz_state::StateError::Invalid {
-                what: "TenantSession",
-                reason: format!(
-                    "snapshot is of a {total_minutes}-minute run, this session runs {} minutes",
-                    self.total_minutes
-                ),
-            });
-        }
-        if self.minute() > self.total_minutes {
-            return Err(bz_state::StateError::Invalid {
-                what: "TenantSession",
-                reason: format!(
-                    "snapshot is {} minute(s) into a run of only {} minute(s)",
-                    self.minute(),
-                    self.total_minutes
-                ),
-            });
-        }
-        Ok(())
+        })
     }
 }
 
@@ -320,7 +342,7 @@ mod tests {
     fn readback_reports_all_zones_and_actuators() {
         let mut s = session(3, 2);
         s.step_minute();
-        let readback = s.readback();
+        let readback = s.readback().expect("a session exposes its setpoints");
         assert_eq!(readback.now_ms, 60_000);
         assert_eq!(readback.strategy, "reactive");
         assert!(readback.zone_temp_c.iter().all(|t| (0.0..60.0).contains(t)));
@@ -331,7 +353,7 @@ mod tests {
     fn ingest_lands_in_the_export_as_a_gauge() {
         let mut s = session(3, 2);
         s.step_minute();
-        s.ingest_observation("room.temp_c", 24.5);
+        s.ingest("room.temp_c", 24.5);
         let snapshot = s.obs().snapshot();
         assert_eq!(snapshot.gauges["ingest.room.temp_c"], 24.5);
     }

@@ -8,7 +8,7 @@
 //! thousands of requests per second and a desynchronized connection would
 //! corrupt every later exchange on it.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest accepted header section, bytes (request line + all headers).
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -113,8 +113,22 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
             "request body of {content_length} bytes exceeds the limit"
         )));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    // Grow the body with the bytes that actually arrive: a header alone
+    // must not make the worker allocate the declared length up front.
+    let mut body = Vec::new();
+    reader
+        .by_ref()
+        .take(content_length as u64)
+        .read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "connection closed after {} of {content_length} body bytes",
+                body.len()
+            ),
+        ));
+    }
 
     let (path, query) = match target.split_once('?') {
         Some((path, query)) => (path, parse_query(query)),

@@ -386,7 +386,10 @@ fn tenant_action(method: &str, action: &str, request: &Request, tenant: &Tenant)
             Response::jsonl(200, lines).with_header("x-bz-next-cursor", next.to_string())
         }
         ("GET", "snapshot") => Response::octets(200, tenant.snapshot().to_wire_bytes())
-            .with_header("x-bz-config-crc", format!("{:016x}", tenant.config_crc)),
+            .with_header(
+                "x-bz-config-crc",
+                format!("{:016x}", tenant.identity.config_crc),
+            ),
         ("POST", "restore") => {
             let checkpoint = match bz_state::Checkpoint::from_wire_bytes(&request.body) {
                 Ok(checkpoint) => checkpoint,
@@ -448,7 +451,7 @@ fn tenant_status(tenant: &Tenant) -> String {
         tenant.minute(),
         tenant.total_minutes,
         tenant.is_done(),
-        tenant.config_crc,
+        tenant.identity.config_crc,
         tenant.shed.load(Ordering::Relaxed)
     )
 }

@@ -1,33 +1,40 @@
-//! Tenant lifecycle: parsing create requests, the per-tenant simulation
-//! driver, and the sharded registry the worker threads go through.
+//! Tenant lifecycle: parsing create requests, the per-tenant run, and
+//! the sharded registry the worker threads go through.
 //!
-//! One tenant is one independent simulated building. Three scenario
-//! families are hosted, each behind the same driver API:
+//! One tenant is one independent simulated building, hosted as a
+//! [`bz_core::session::Run`] behind a mutex. Three scenario families
+//! build one:
 //!
 //! * `trial` / `network` / `endurance` — the sweep scenarios, built with
 //!   the exact construction recipe of `bzctl trial` and `bzctl sweep`
-//!   ([`bz_bench::sweep::build_system`]) and driven through
-//!   [`bz_core::session::TenantSession`];
-//! * `chaos` — a fault-injection run from the `bzctl chaos` scenario
-//!   JSON ([`ChaosScenario::from_json`]);
-//! * `mpc` — a strategy run from the `bzctl mpc` scenario JSON
-//!   ([`MpcScenario::from_json`]), reactive or MPC-controlled.
+//!   ([`bz_bench::sweep::build_system`]) and hosted as a
+//!   [`TenantSession`];
+//! * `chaos` — a [`bz_core::chaos::ChaosRun`] from the `bzctl chaos`
+//!   scenario JSON ([`ChaosScenario::from_json`]);
+//! * `mpc` — a [`bz_predict::compare::StrategySession`] from the `bzctl
+//!   mpc` scenario JSON ([`MpcScenario::from_json`]), reactive or
+//!   MPC-controlled.
 //!
 //! Every tenant records into its own isolated [`bz_obs::Handle`], so
 //! concurrent tenants share no mutable metric state and each tenant's
 //! JSONL export is byte-identical to the same scenario run offline.
+//!
+//! Snapshots are sealed and checked by the shared
+//! [`bz_state::Identity`], and restore is atomic: a payload that fails
+//! to decode leaves the tenant exactly as it was.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use bz_bench::sweep::{self, RunSpec};
-use bz_core::chaos::{ChaosRun, ChaosScenario};
+use bz_core::chaos::ChaosScenario;
 use bz_core::json::Json;
-use bz_core::session::{SetpointReadback, TenantSession};
-use bz_predict::compare::{begin_strategy, StrategySession};
+use bz_core::session::{Run, SetpointReadback, TenantSession};
+use bz_predict::compare::begin_strategy;
 use bz_predict::MpcScenario;
 use bz_simcore::NoiseKernel;
+use bz_state::{Checkpoint, Identity, Reader, Writer};
 
 /// Checkpoint `kind` tag of every serve-side snapshot (wire downloads and
 /// the graceful-shutdown final checkpoints).
@@ -36,73 +43,6 @@ pub const CHECKPOINT_KIND: &str = "serve";
 /// Shards of the tenant map. Requests for different tenants contend only
 /// on their shard's read lock, never on one global map lock.
 const SHARD_COUNT: usize = 64;
-
-/// The simulation driver behind one tenant.
-enum Driver {
-    /// A sweep-family scenario driven through the externally-paced core
-    /// session API.
-    Sim(TenantSession),
-    /// A fault-injection run.
-    Chaos(ChaosRun),
-    /// A strategy (reactive or MPC) run.
-    Mpc(StrategySession),
-}
-
-impl Driver {
-    fn now_ms(&self) -> u64 {
-        match self {
-            Self::Sim(s) => s.now_ms(),
-            Self::Chaos(s) => s.now_ms(),
-            Self::Mpc(s) => s.now_ms(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            Self::Sim(s) => s.is_done(),
-            Self::Chaos(s) => s.is_done(),
-            Self::Mpc(s) => s.is_done(),
-        }
-    }
-
-    fn step_minute(&mut self) {
-        match self {
-            Self::Sim(s) => s.step_minute(),
-            Self::Chaos(s) => s.step_minute(),
-            Self::Mpc(s) => s.step_minute(),
-        }
-    }
-
-    fn save_state(&self, w: &mut bz_state::Writer) {
-        match self {
-            Self::Sim(s) => s.save_state(w),
-            Self::Chaos(s) => s.save_state(w),
-            Self::Mpc(s) => s.save_state(w),
-        }
-    }
-
-    fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
-        match self {
-            Self::Sim(s) => s.load_state(r),
-            Self::Chaos(s) => s.load_state(r),
-            Self::Mpc(s) => s.load_state(r),
-        }
-    }
-
-    fn readback(&self) -> Option<SetpointReadback> {
-        match self {
-            Self::Sim(s) => Some(s.readback()),
-            _ => None,
-        }
-    }
-
-    fn ingest(&mut self, name: &str, value: f64, obs: &bz_obs::Handle) {
-        match self {
-            Self::Sim(s) => s.ingest_observation(name, value),
-            driver => obs.gauge_set(format!("ingest.{name}"), driver.now_ms(), value),
-        }
-    }
-}
 
 /// A failed tenant-create request, with the HTTP status it maps to.
 #[derive(Debug)]
@@ -131,17 +71,15 @@ pub struct Tenant {
     /// Scenario family label (`trial`, `network`, `endurance`, `chaos`,
     /// `mpc`).
     pub scenario: String,
-    /// Canonical identity string: everything that shapes the simulation
-    /// (scenario, seed, duration, grid point, noise-kernel version). Its
-    /// CRC-64 gates snapshot restore.
-    pub identity: String,
-    /// CRC-64 of [`identity`](Self::identity).
-    pub config_crc: u64,
+    /// Snapshot identity: its label names everything that shapes the
+    /// simulation (scenario, seed, duration, grid point, noise-kernel
+    /// version), and its CRC-64 gates snapshot restore.
+    pub identity: Identity,
     /// Scenario duration, minutes.
     pub total_minutes: u64,
     /// The tenant's isolated metrics handle.
     pub obs: bz_obs::Handle,
-    driver: Mutex<Driver>,
+    run: Mutex<Box<dyn Run + Send>>,
     inflight: AtomicU32,
     /// Requests shed on this tenant by the admission bound.
     pub shed: AtomicU64,
@@ -183,18 +121,18 @@ impl Tenant {
     }
 
     /// Runs `f` with exclusive access to the tenant's simulation.
-    fn with_driver<T>(&self, f: impl FnOnce(&mut Driver) -> T) -> T {
-        let mut guard = match self.driver.lock() {
+    fn with_run<T>(&self, f: impl FnOnce(&mut dyn Run) -> T) -> T {
+        let mut guard = match self.run.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        f(&mut guard)
+        f(guard.as_mut())
     }
 
     /// Simulated milliseconds completed.
     #[must_use]
     pub fn now_ms(&self) -> u64 {
-        self.with_driver(|d| d.now_ms())
+        self.with_run(|run| run.now_ms())
     }
 
     /// Whole simulated minutes completed.
@@ -206,16 +144,16 @@ impl Tenant {
     /// True once the scenario duration has fully run.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.with_driver(|d| d.is_done())
+        self.with_run(|run| run.is_done())
     }
 
     /// Advances up to `minutes` simulated minutes (stopping early at the
     /// scenario end) and returns how many were actually stepped.
     pub fn step_minutes(&self, minutes: u64) -> u64 {
-        self.with_driver(|d| {
+        self.with_run(|run| {
             let mut stepped = 0;
-            while stepped < minutes && !d.is_done() {
-                d.step_minute();
+            while stepped < minutes && !run.is_done() {
+                run.step_minute();
                 stepped += 1;
             }
             stepped
@@ -225,10 +163,10 @@ impl Tenant {
     /// Advances until simulated minute `target` (clamped to the scenario
     /// end) and returns how many minutes were stepped.
     pub fn advance_to_minute(&self, target: u64) -> u64 {
-        self.with_driver(|d| {
+        self.with_run(|run| {
             let mut stepped = 0;
-            while d.now_ms() / 60_000 < target && !d.is_done() {
-                d.step_minute();
+            while run.now_ms() / 60_000 < target && !run.is_done() {
+                run.step_minute();
                 stepped += 1;
             }
             stepped
@@ -238,23 +176,23 @@ impl Tenant {
     /// Records one externally observed sensor reading into the tenant's
     /// registry (gauge `ingest.<name>` at the current simulated time).
     pub fn ingest(&self, name: &str, value: f64) {
-        self.with_driver(|d| d.ingest(name, value, &self.obs));
+        self.with_run(|run| run.ingest(name, value));
     }
 
     /// The setpoint/actuation readback, for scenario families that
     /// expose one (the sweep family; chaos and mpc report status only).
     #[must_use]
     pub fn readback(&self) -> Option<SetpointReadback> {
-        self.with_driver(|d| d.readback())
+        self.with_run(|run| run.readback())
     }
 
     /// The tenant's full metrics export (buffered events + totals tail),
     /// byte-identical to the offline run of the same scenario.
     #[must_use]
     pub fn metrics_jsonl(&self) -> Vec<u8> {
-        // Hold the driver lock so the export cannot interleave with a
+        // Hold the run lock so the export cannot interleave with a
         // concurrent step on the same tenant.
-        self.with_driver(|_| {
+        self.with_run(|_| {
             let mut bytes = Vec::new();
             self.obs
                 .write_jsonl(&mut bytes)
@@ -267,7 +205,7 @@ impl Tenant {
     /// `from`, plus the new cursor.
     #[must_use]
     pub fn telemetry_from(&self, from: usize) -> (Vec<u8>, usize) {
-        self.with_driver(|_| {
+        self.with_run(|_| {
             let mut bytes = Vec::new();
             let next = self
                 .obs
@@ -278,51 +216,37 @@ impl Tenant {
     }
 
     /// Serializes the tenant into a BZCK checkpoint envelope stamped
-    /// with its config identity.
+    /// with its identity.
     #[must_use]
-    pub fn snapshot(&self) -> bz_state::Checkpoint {
-        self.with_driver(|d| {
-            let mut w = bz_state::Writer::new();
-            d.save_state(&mut w);
-            bz_state::Checkpoint {
-                meta: bz_state::CheckpointMeta {
-                    kind: CHECKPOINT_KIND.to_owned(),
-                    tick_ms: d.now_ms(),
-                    config_crc: self.config_crc,
-                    label: self.identity.clone(),
-                },
-                payload: w.into_bytes(),
-            }
+    pub fn snapshot(&self) -> Checkpoint {
+        self.with_run(|run| {
+            let mut w = Writer::new();
+            run.save_state(&mut w);
+            self.identity.envelope(run.now_ms(), w.into_bytes())
         })
     }
 
-    /// Restores the tenant from a checkpoint envelope. The envelope's
-    /// config identity must match this tenant's — a snapshot of a
-    /// different scenario, seed, duration, or noise-kernel version is
-    /// refused, naming both identities.
+    /// Restores the tenant from a checkpoint envelope. The envelope must
+    /// carry this tenant's identity — a snapshot of a different scenario,
+    /// seed, duration, or noise-kernel version is refused, naming both.
+    /// Restore is atomic: when the payload fails to decode, the tenant's
+    /// own state is reloaded and it continues exactly as before.
     ///
     /// # Errors
     ///
     /// Returns a message (and implied 409) for identity mismatches and
     /// undecodable payloads.
-    pub fn restore(&self, checkpoint: &bz_state::Checkpoint) -> Result<(), String> {
-        if checkpoint.meta.kind != CHECKPOINT_KIND {
-            return Err(format!(
-                "checkpoint was written by '{}', not the serve layer; refusing to restore",
-                checkpoint.meta.kind
-            ));
-        }
-        if checkpoint.meta.config_crc != self.config_crc {
-            return Err(format!(
-                "checkpoint was taken under a different configuration ('{}', this tenant is \
-                 '{}'); refusing to restore",
-                checkpoint.meta.label, self.identity
-            ));
-        }
-        self.with_driver(|d| {
-            let mut r = bz_state::Reader::new(&checkpoint.payload);
-            d.load_state(&mut r)
-                .map_err(|e| format!("snapshot failed to restore: {e}"))
+    pub fn restore(&self, checkpoint: &Checkpoint) -> Result<(), String> {
+        self.identity.check(checkpoint, "checkpoint")?;
+        self.with_run(|run| {
+            let mut live = Writer::new();
+            run.save_state(&mut live);
+            run.load_state(&mut Reader::new(&checkpoint.payload))
+                .map_err(|e| {
+                    run.load_state(&mut Reader::new(&live.into_bytes()))
+                        .expect("a run reloads the state it just saved");
+                    format!("snapshot failed to restore: {e}")
+                })
         })
     }
 }
@@ -418,8 +342,7 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
                 scenario,
                 identity,
                 minutes,
-                obs.clone(),
-                Driver::Sim(TenantSession::new(system, obs, minutes)),
+                Box::new(TenantSession::new(system, obs, minutes)),
             ))
         }
         "chaos" => {
@@ -433,16 +356,8 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
                 "serve chaos {} seed={} minutes={minutes} noise={noise}",
                 scenario_cfg.name, scenario_cfg.seed
             );
-            let obs = bz_obs::Handle::isolated();
-            let run = scenario_cfg.begin_with_obs(obs.clone());
-            Ok(tenant(
-                name,
-                "chaos",
-                identity,
-                minutes,
-                obs,
-                Driver::Chaos(run),
-            ))
+            let run = scenario_cfg.begin_with_obs(bz_obs::Handle::isolated());
+            Ok(tenant(name, "chaos", identity, minutes, Box::new(run)))
         }
         "mpc" => {
             let scenario_cfg = if is_bundled(&root) {
@@ -468,16 +383,8 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
                 "serve mpc {} seed={} minutes={minutes} strategy={strategy} noise={noise}",
                 scenario_cfg.name, scenario_cfg.seed
             );
-            let session = begin_strategy(&scenario_cfg, mpc);
-            let obs = session.obs().clone();
-            Ok(tenant(
-                name,
-                "mpc",
-                identity,
-                minutes,
-                obs,
-                Driver::Mpc(session),
-            ))
+            let run = begin_strategy(&scenario_cfg, mpc);
+            Ok(tenant(name, "mpc", identity, minutes, Box::new(run)))
         }
         other => Err(CreateError::bad(format!(
             "unknown scenario '{other}' (expected trial, network, endurance, chaos, or mpc)"
@@ -494,18 +401,15 @@ fn tenant(
     scenario: &str,
     identity: String,
     total_minutes: u64,
-    obs: bz_obs::Handle,
-    driver: Driver,
+    run: Box<dyn Run + Send>,
 ) -> Tenant {
-    let config_crc = bz_state::crc64::checksum(identity.as_bytes());
     Tenant {
         name,
         scenario: scenario.to_owned(),
-        identity,
-        config_crc,
+        identity: Identity::new(CHECKPOINT_KIND, identity),
         total_minutes,
-        obs,
-        driver: Mutex::new(driver),
+        obs: run.obs().clone(),
+        run: Mutex::new(run),
         inflight: AtomicU32::new(0),
         shed: AtomicU64::new(0),
     }
@@ -657,12 +561,18 @@ mod tests {
         let a = trial_tenant("a", 7, 10);
         let b = trial_tenant("b", 8, 10);
         let c = trial_tenant("c", 7, 11);
-        assert_ne!(a.config_crc, b.config_crc, "seed is part of the identity");
         assert_ne!(
-            a.config_crc, c.config_crc,
+            a.identity.config_crc, b.identity.config_crc,
+            "seed is part of the identity"
+        );
+        assert_ne!(
+            a.identity.config_crc, c.identity.config_crc,
             "duration is part of the identity"
         );
-        assert!(a.identity.contains("noise="), "noise version is recorded");
+        assert!(
+            a.identity.label.contains("noise="),
+            "noise version is recorded"
+        );
     }
 
     #[test]
@@ -712,7 +622,45 @@ mod tests {
         let mut foreign = snapshot.clone();
         foreign.meta.kind = "trial".to_owned();
         let err = source.restore(&foreign).unwrap_err();
-        assert!(err.contains("not the serve layer"), "{err}");
+        assert!(
+            err.contains("written by 'trial' (this is 'serve')"),
+            "{err}"
+        );
+
+        // Same run under the other noise kernel: both versions are named.
+        let label = &source.identity.label;
+        let other = if label.contains("noise=v1") {
+            label.replace("noise=v1", "noise=v2")
+        } else {
+            label.replace("noise=v2", "noise=v1")
+        };
+        let noise_only = Identity::new(CHECKPOINT_KIND, other).envelope(0, snapshot.payload);
+        let err = source.restore(&noise_only).unwrap_err();
+        assert!(err.contains("noise kernel"), "{err}");
+        assert!(err.contains("BZ_NOISE="), "{err}");
+        assert!(!err.contains("different configuration"), "{err}");
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_tenant_untouched() {
+        for body in [
+            "{\"name\":\"t\",\"scenario\":\"trial\",\"seed\":9,\"minutes\":4}",
+            "{\"name\":\"c\",\"scenario\":\"chaos\",\"bundled\":true}",
+        ] {
+            let tenant = build_tenant(body).unwrap();
+            tenant.step_minutes(1);
+            let mut torn = tenant.snapshot();
+            torn.payload.truncate(torn.payload.len() - 8);
+            tenant.step_minutes(1);
+            let (minute, export) = (tenant.minute(), tenant.metrics_jsonl());
+
+            let err = tenant.restore(&torn).unwrap_err();
+            assert!(err.contains("failed to restore"), "{err}");
+            assert_eq!(tenant.minute(), minute, "{body}");
+            assert_eq!(tenant.metrics_jsonl(), export, "{body}");
+            tenant.step_minutes(1);
+            assert_eq!(tenant.minute(), minute + 1, "{body}");
+        }
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //! - [`dir`] — retention and recovery over a directory of checkpoints:
 //!   newest-good selection that skips corrupt or torn files with a
 //!   diagnostic for each, and pruning to a bounded retention window.
+//! - [`checkpointer`] — the one checkpointer every resumable run uses:
+//!   the identity check that keeps a snapshot out of a different run,
+//!   and periodic writes, retention and resume over a [`CheckpointDir`].
 //!
 //! See `docs/CHECKPOINTS.md` for the format and the resume semantics.
 
 pub mod checkpoint;
+pub mod checkpointer;
 pub mod codec;
 pub mod crc64;
 pub mod dir;
@@ -28,5 +32,6 @@ pub mod dir;
 pub use checkpoint::{
     Checkpoint, CheckpointError, CheckpointMeta, FORMAT_VERSION, MAGIC, WIRE_PATH,
 };
+pub use checkpointer::{Checkpointer, Identity, Resumed};
 pub use codec::{Persist, Reader, StateError, Writer};
 pub use dir::{CheckpointDir, ScanOutcome, SkippedCheckpoint};
