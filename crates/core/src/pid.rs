@@ -67,6 +67,7 @@ pub struct Pid {
     integral: f64,
     last_error: Option<f64>,
     obs: bz_obs::Handle,
+    saturation: bz_obs::CounterKey,
 }
 
 impl Pid {
@@ -79,6 +80,7 @@ impl Pid {
             integral: 0.0,
             last_error: None,
             obs: bz_obs::Handle::global(),
+            saturation: bz_obs::CounterKey::from_static("core.pid.saturation"),
         }
     }
 
@@ -123,7 +125,7 @@ impl Pid {
             + self.config.kd * derivative;
         let clamped = unclamped.clamp(self.config.output_min, self.config.output_max);
         if clamped != unclamped {
-            self.obs.counter_inc("core.pid.saturation");
+            self.obs.counter_inc_key(&self.saturation);
         }
         if clamped != unclamped && self.config.ki > 0.0 {
             self.integral =

@@ -310,6 +310,7 @@ pub struct SensorHealthSupervisor {
     pumps: [PumpWatch; 2],
     detections: Vec<Detection>,
     obs: bz_obs::Handle,
+    accepted: bz_obs::CounterKey,
 }
 
 impl SensorHealthSupervisor {
@@ -323,6 +324,7 @@ impl SensorHealthSupervisor {
             pumps: Default::default(),
             detections: Vec::new(),
             obs: bz_obs::Handle::global(),
+            accepted: bz_obs::CounterKey::from_static("supervisor.accepted"),
         }
     }
 
@@ -392,7 +394,7 @@ impl SensorHealthSupervisor {
                     });
                     self.obs.counter_inc("supervisor.channel.recovered");
                 }
-                self.obs.counter_inc("supervisor.accepted");
+                self.obs.counter_inc_key(&self.accepted);
             }
             Err(reason) => {
                 state.rejects_in_row += 1;

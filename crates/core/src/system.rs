@@ -36,6 +36,9 @@ use crate::supervisor::{SensorHealthSupervisor, SupervisorConfig};
 use crate::targets::ComfortTargets;
 use crate::ventilation::{VentilationConfig, VentilationController, VentilationDecision};
 
+/// Per-panel condensation safe-mode gauge keys, indexed by panel.
+const SAFE_MODE_KEYS: [&str; 2] = ["supervisor.safe_mode.panel0", "supervisor.safe_mode.panel1"];
+
 /// Transmission policy of the battery devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BtMode {
@@ -149,8 +152,9 @@ struct BtStream {
     sampling_period: SimDuration,
     next_sample: SimTime,
     /// Pre-built `wsn.node.<id>.sent` key so the per-transmission counter
-    /// update allocates nothing (see [`bz_obs::Handle::counter_inc_ref`]).
-    sent_key: bz_obs::MetricKey,
+    /// update allocates nothing and, after its first update, indexes the
+    /// counter's slot directly (see [`bz_obs::Handle::counter_inc_key`]).
+    sent_key: bz_obs::CounterKey,
 }
 
 /// One AC periodic broadcast source.
@@ -161,7 +165,7 @@ struct AcStream {
     scheduler: AcScheduler,
     next_fire: SimTime,
     /// Pre-built `wsn.node.<id>.sent` key (same role as on [`BtStream`]).
-    sent_key: bz_obs::MetricKey,
+    sent_key: bz_obs::CounterKey,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,7 +326,10 @@ impl BubbleZeroSystem {
                     // Stagger initial sampling by node id to avoid a
                     // synchronized burst at t=0.
                     next_sample: SimTime::from_millis(u64::from(role.node_id().get()) * 53),
-                    sent_key: format!("wsn.node.{}.sent", role.node_id().get()).into(),
+                    sent_key: bz_obs::CounterKey::new(format!(
+                        "wsn.node.{}.sent",
+                        role.node_id().get()
+                    )),
                 });
             }
         };
@@ -389,7 +396,7 @@ impl BubbleZeroSystem {
                 kind,
                 scheduler,
                 next_fire: SimTime::ZERO,
-                sent_key: format!("wsn.node.{}.sent", node.get()).into(),
+                sent_key: bz_obs::CounterKey::new(format!("wsn.node.{}.sent", node.get())),
             });
         };
         add_ac(
@@ -868,14 +875,14 @@ impl BubbleZeroSystem {
             let stream = &self.bt_streams[index];
             let message =
                 Message::on_channel(stream.node, stream.data_type, stream.channel, value, at);
-            self.obs.counter_inc_ref(&stream.sent_key);
+            self.obs.counter_inc_key(&stream.sent_key);
             self.network.send(at, message);
         }
     }
 
     fn fire_ac_stream(&mut self, index: usize, at: SimTime) {
         let node = self.ac_streams[index].node;
-        self.obs.counter_inc_ref(&self.ac_streams[index].sent_key);
+        self.obs.counter_inc_key(&self.ac_streams[index].sent_key);
         match self.ac_streams[index].kind {
             AcKind::SupplyTemp => {
                 let value = self.plant.read_supply_temp().get();
@@ -1059,7 +1066,7 @@ impl BubbleZeroSystem {
             room_trusted,
         });
 
-        for panel in 0..2 {
+        for (panel, safe_mode_key) in SAFE_MODE_KEYS.into_iter().enumerate() {
             // Pipe sensors are wired straight into Control-C-1.
             let supply = self.plant.read_supply_temp();
             let ret = self.plant.read_return_temp(panel);
@@ -1085,13 +1092,11 @@ impl BubbleZeroSystem {
             self.commands.radiant[panel] = command;
             self.supervisor
                 .observe_applied_flow(panel, now_s, applied_flow);
-            if self.obs.is_enabled() {
-                self.obs.gauge_set(
-                    format!("supervisor.safe_mode.panel{panel}"),
-                    self.now.as_millis(),
-                    f64::from(u8::from(safe_mode)),
-                );
-            }
+            self.obs.gauge_set(
+                safe_mode_key,
+                self.now.as_millis(),
+                f64::from(u8::from(safe_mode)),
+            );
             self.last_radiant[panel] = Some(decision);
         }
         for s in 0..4 {

@@ -207,10 +207,7 @@ impl Tenant {
     pub fn telemetry_from(&self, from: usize) -> (Vec<u8>, usize) {
         self.with_run(|_| {
             let mut bytes = Vec::new();
-            let next = self
-                .obs
-                .write_events_from(from, &mut bytes)
-                .expect("writing to a Vec cannot fail");
+            let next = self.obs.append_events_from(from, &mut bytes);
             (bytes, next)
         })
     }

@@ -46,6 +46,8 @@ pub struct EventQueue<E> {
     entries: Vec<Entry<E>>,
     next_seq: u64,
     obs: bz_obs::Handle,
+    scheduled: bz_obs::CounterKey,
+    popped: bz_obs::CounterKey,
 }
 
 impl<E> EventQueue<E> {
@@ -64,12 +66,14 @@ impl<E> EventQueue<E> {
             entries: Vec::new(),
             next_seq: 0,
             obs,
+            scheduled: bz_obs::CounterKey::from_static("simcore.event_queue.scheduled"),
+            popped: bz_obs::CounterKey::from_static("simcore.event_queue.popped"),
         }
     }
 
     /// Schedules `event` to fire at `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        self.obs.counter_inc("simcore.event_queue.scheduled");
+        self.obs.counter_inc_key(&self.scheduled);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.entries.push(Entry { at, seq, event });
@@ -94,7 +98,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let i = self.min_index()?;
         let entry = self.entries.swap_remove(i);
-        self.obs.counter_inc("simcore.event_queue.popped");
+        self.obs.counter_inc_key(&self.popped);
         Some((entry.at, entry.event))
     }
 
@@ -106,7 +110,7 @@ impl<E> EventQueue<E> {
             return None;
         }
         let entry = self.entries.swap_remove(i);
-        self.obs.counter_inc("simcore.event_queue.popped");
+        self.obs.counter_inc_key(&self.popped);
         Some((entry.at, entry.event))
     }
 
@@ -145,8 +149,7 @@ impl<E> EventQueue<E> {
         for entry in self.entries.drain(end..) {
             out.push((entry.at, entry.event));
         }
-        self.obs
-            .counter_add("simcore.event_queue.popped", drained as u64);
+        self.obs.counter_add_key(&self.popped, drained as u64);
         drained
     }
 

@@ -129,6 +129,36 @@ struct Flight {
     faded: bool,
 }
 
+/// The channel's per-frame telemetry keys, each resolved once per
+/// registry.
+#[derive(Debug, Clone)]
+struct ChannelMetrics {
+    sent: bz_obs::CounterKey,
+    delivered: bz_obs::CounterKey,
+    collided: bz_obs::CounterKey,
+    dropped_busy: bz_obs::CounterKey,
+    dropped_fading: bz_obs::CounterKey,
+    dropped_dead_node: bz_obs::CounterKey,
+    backoffs: bz_obs::CounterKey,
+    delivery_delay_ms: bz_obs::HistogramKey,
+}
+
+impl Default for ChannelMetrics {
+    fn default() -> Self {
+        use bz_obs::{CounterKey, HistogramKey};
+        Self {
+            sent: CounterKey::from_static("wsn.packets.sent"),
+            delivered: CounterKey::from_static("wsn.packets.delivered"),
+            collided: CounterKey::from_static("wsn.packets.collided"),
+            dropped_busy: CounterKey::from_static("wsn.packets.dropped_busy"),
+            dropped_fading: CounterKey::from_static("wsn.packets.dropped_fading"),
+            dropped_dead_node: CounterKey::from_static("wsn.packets.dropped_dead_node"),
+            backoffs: CounterKey::from_static("wsn.backoffs"),
+            delivery_delay_ms: HistogramKey::from_static("wsn.delivery_delay_ms"),
+        }
+    }
+}
+
 /// The broadcast network.
 ///
 /// Use [`Network::send`] to offer frames and [`Network::advance`] to move
@@ -142,6 +172,7 @@ pub struct Network {
     failures: Vec<(Message, TxFailure)>,
     faults: WsnFaultSchedule,
     obs: bz_obs::Handle,
+    metrics: ChannelMetrics,
     /// Reused scratch for the frames completing in one `advance` call,
     /// so steady-state advancing allocates nothing.
     done_buf: Vec<Flight>,
@@ -160,6 +191,7 @@ impl Network {
             failures: Vec::new(),
             faults: WsnFaultSchedule::none(),
             obs: bz_obs::Handle::global(),
+            metrics: ChannelMetrics::default(),
             done_buf: Vec::new(),
         }
     }
@@ -206,11 +238,11 @@ impl Network {
         // death, which is exactly why the controller side needs a
         // staleness supervisor.
         if self.faults.node_dead(message.source(), now) {
-            self.obs.counter_inc("wsn.packets.dropped_dead_node");
+            self.obs.counter_inc_key(&self.metrics.dropped_dead_node);
             return false;
         }
         self.stats.offered += 1;
-        self.obs.counter_inc("wsn.packets.sent");
+        self.obs.counter_inc_key(&self.metrics.sent);
         let airtime = self.config.airtime(message.payload_bytes());
 
         // CSMA: find a start instant at which the channel is clear, with
@@ -221,7 +253,7 @@ impl Network {
             if self.busy_at(candidate) {
                 if attempt >= self.config.max_backoffs {
                     self.stats.busy_drops += 1;
-                    self.obs.counter_inc("wsn.packets.dropped_busy");
+                    self.obs.counter_inc_key(&self.metrics.dropped_busy);
                     self.failures.push((message, TxFailure::ChannelBusy));
                     return false;
                 }
@@ -239,7 +271,7 @@ impl Network {
                 candidate = horizon + SimDuration::from_millis(slots * self.config.backoff_unit_ms);
                 attempt += 1;
                 self.stats.backoffs += 1;
-                self.obs.counter_inc("wsn.backoffs");
+                self.obs.counter_inc_key(&self.metrics.backoffs);
             } else {
                 break;
             }
@@ -305,18 +337,18 @@ impl Network {
         for &f in &done {
             if f.corrupted {
                 self.stats.collided += 1;
-                self.obs.counter_inc("wsn.packets.collided");
+                self.obs.counter_inc_key(&self.metrics.collided);
                 self.failures.push((f.message, TxFailure::Collision));
             } else if f.faded {
                 self.stats.faded += 1;
-                self.obs.counter_inc("wsn.packets.dropped_fading");
+                self.obs.counter_inc_key(&self.metrics.dropped_fading);
                 self.failures.push((f.message, TxFailure::Fading));
             } else {
                 let delay = f.end.since(f.requested);
                 self.stats.delivered += 1;
-                self.obs.counter_inc("wsn.packets.delivered");
+                self.obs.counter_inc_key(&self.metrics.delivered);
                 self.obs
-                    .observe("wsn.delivery_delay_ms", delay.as_millis() as f64);
+                    .observe_key(&self.metrics.delivery_delay_ms, delay.as_millis() as f64);
                 self.stats.total_delay_ms += delay.as_millis();
                 self.stats.max_delay_ms = self.stats.max_delay_ms.max(delay.as_millis());
                 out.push(Delivery {
