@@ -39,7 +39,7 @@ fn aggressive_disturbances() -> DisturbanceSchedule {
     ])
 }
 
-fn ablate_dew_margin() {
+fn ablate_dew_margin(obs: &bz_obs::Handle) {
     header("Ablation 1 — radiant dew margin (safety vs capacity)");
     println!(
         "  {:>10} {:>16} {:>14} {:>12}",
@@ -55,7 +55,7 @@ fn ablate_dew_margin() {
                 PlantConfig::bubble_zero_lab().with_disturbances(aggressive_disturbances()),
             )
         };
-        let mut system = BubbleZeroSystem::new(config);
+        let mut system = BubbleZeroSystem::with_obs(config, obs.clone());
         let mut radiant_w = 0.0;
         let mut samples = 0u32;
         for minute in 0..75 {
@@ -75,7 +75,7 @@ fn ablate_dew_margin() {
     println!("  -> more margin = less condensation risk but less capacity headroom");
 }
 
-fn ablate_control_period() {
+fn ablate_control_period(obs: &bz_obs::Handle) {
     header("Ablation 2 — control period (reactivity vs stability)");
     println!(
         "  {:>10} {:>12} {:>12} {:>16}",
@@ -88,7 +88,7 @@ fn ablate_control_period() {
                 PlantConfig::bubble_zero_lab().with_disturbances(aggressive_disturbances()),
             )
         };
-        let mut system = BubbleZeroSystem::new(config);
+        let mut system = BubbleZeroSystem::with_obs(config, obs.clone());
         system.run_seconds(75 * 60);
         println!(
             "  {period:>10} {:>12.2} {:>12.2} {:>16.1}",
@@ -102,11 +102,11 @@ fn ablate_control_period() {
 
 /// Drives one BT-ADPT instance over a synthetic signal with five step
 /// events and returns (mean send period s, mean detection delay s).
-fn drive_adaptive(window_len: usize, stable_runs: u32) -> (f64, f64) {
+fn drive_adaptive(obs: &bz_obs::Handle, window_len: usize, stable_runs: u32) -> (f64, f64) {
     let mut config = AdaptiveConfig::with_sampling(SimDuration::from_secs(2));
     config.window_len = window_len;
     config.stable_runs_to_double = stable_runs;
-    let mut scheduler = BtAdaptive::new(config);
+    let mut scheduler = BtAdaptive::new(config).with_obs(obs.clone());
     let mut rng = Rng::seed_from(0xAB1A);
 
     let total_samples = 9_000usize; // 5 hours at 2 s
@@ -144,27 +144,27 @@ fn drive_adaptive(window_len: usize, stable_runs: u32) -> (f64, f64) {
     (period_sum / f64::from(period_count), mean_delay)
 }
 
-fn ablate_btadpt() {
+fn ablate_btadpt(obs: &bz_obs::Handle) {
     header("Ablation 3 — BT-ADPT window length / doubling threshold");
     println!(
         "  {:>8} {:>12} {:>16} {:>18}",
         "window", "stable_runs", "mean T_snd s", "detect delay s"
     );
     for (window, runs) in [(5, 10), (10, 5), (10, 10), (10, 20), (20, 10)] {
-        let (mean_period, delay) = drive_adaptive(window, runs);
+        let (mean_period, delay) = drive_adaptive(obs, window, runs);
         println!("  {window:>8} {runs:>12} {mean_period:>16.1} {delay:>18.1}");
     }
     println!("  -> longer windows detect slower; fewer stable runs stretch faster");
 }
 
-fn ablate_ac_stagger() {
+fn ablate_ac_stagger(obs: &bz_obs::Handle) {
     header("Ablation 4 — AC schedule staggering (the §IV contention fix)");
     let run = |adaptive: bool| -> f64 {
         let config = NetworkConfig {
             residual_loss: 0.0,
             ..NetworkConfig::telosb()
         };
-        let mut network = Network::new(config, Rng::seed_from(77));
+        let mut network = Network::new(config, Rng::seed_from(77)).with_obs(obs.clone());
         let mut seed = Rng::seed_from(78);
         let period = SimDuration::from_millis(250);
         let mut schedulers: Vec<AcScheduler> = (0..24)
@@ -221,12 +221,12 @@ fn ablate_ac_stagger() {
     );
 }
 
-fn ablate_duration_sanity() {
+fn ablate_duration_sanity(obs: &bz_obs::Handle) {
     // Guard against silent coverage loss: the networking trial must cover
     // its full five hours with events throughout.
     let outcome = NetworkTrial::paper_setup()
         .with_duration(SimDuration::from_mins(30))
-        .run();
+        .run(obs.clone());
     row(
         "sanity: 30-min trial decisions",
         format!("{}", outcome.decisions.len()),
@@ -234,12 +234,12 @@ fn ablate_duration_sanity() {
 }
 
 fn main() {
-    bz_bench::harness(|| {
-        ablate_dew_margin();
-        ablate_control_period();
-        ablate_btadpt();
-        ablate_ac_stagger();
+    bz_bench::harness(|obs| {
+        ablate_dew_margin(obs);
+        ablate_control_period(obs);
+        ablate_btadpt(obs);
+        ablate_ac_stagger(obs);
         header("sanity");
-        ablate_duration_sanity();
+        ablate_duration_sanity(obs);
     });
 }

@@ -15,10 +15,10 @@ use bz_simcore::{SimDuration, SimTime};
 use bz_thermal::zone::SubspaceId;
 
 fn main() {
-    bz_bench::harness(|| {
+    bz_bench::harness(|obs| {
         header("Fig. 10 — BubbleZERO afternoon trial (13:00-14:45)");
         let trial = AfternoonTrial::paper_setup();
-        let outcome = trial.run();
+        let outcome = trial.run(obs.clone());
 
         // Console series at the paper's plot resolution (5-minute ticks).
         header("Fig. 10(a)/(b) series (5-minute ticks)");

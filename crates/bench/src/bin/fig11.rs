@@ -15,15 +15,16 @@ use bz_core::scenario::AfternoonTrial;
 use bz_psychro::Celsius;
 
 fn main() {
-    bz_bench::harness(|| {
+    bz_bench::harness(|obs| {
         header("Fig. 11 — COP comparison");
 
         // BubbleZERO: steady-state window of the afternoon trial.
-        let outcome = AfternoonTrial::paper_setup().run();
+        let outcome = AfternoonTrial::paper_setup().run(obs.clone());
         let cop = outcome.cop;
 
         // AirCon baseline: settle, then meter 20 minutes.
-        let mut aircon = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
+        let mut aircon =
+            AirConSystem::new(AirConConfig::for_bubble_zero_lab()).with_obs(obs.clone());
         aircon.run_seconds(40 * 60);
         aircon.reset_meters();
         aircon.run_seconds(20 * 60);

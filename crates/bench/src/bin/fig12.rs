@@ -14,10 +14,10 @@ use bz_core::scenario::{NetworkTrial, VarianceReplay};
 use bz_wsn::platform::{clustering_time_ms, histogram_ram_bytes};
 
 fn main() {
-    bz_bench::harness(|| {
+    bz_bench::harness(|obs| {
         header("Fig. 12 — histogram size N: accuracy / RAM / CPU");
         println!("  running the 5-hour networking trial once...");
-        let outcome = NetworkTrial::paper_setup().run();
+        let outcome = NetworkTrial::paper_setup().run(obs.clone());
         println!(
             "  {} decisions across {} streams, {} scripted events",
             outcome.decisions.len(),

@@ -13,10 +13,10 @@ use bz_core::scenario::{NetworkTrial, VarianceReplay};
 use bz_simcore::SimDuration;
 
 fn main() {
-    bz_bench::harness(|| {
+    bz_bench::harness(|obs| {
         header("Fig. 13 — accuracy over time at N = 40");
         println!("  running the 5-hour networking trial once...");
-        let outcome = NetworkTrial::paper_setup().run();
+        let outcome = NetworkTrial::paper_setup().run(obs.clone());
         let replay =
             VarianceReplay::from_decisions(&outcome.decisions, outcome.stream_types.len(), 100);
         let series = replay.accuracy_over_time(40, SimDuration::from_mins(10));

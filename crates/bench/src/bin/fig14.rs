@@ -14,10 +14,10 @@ use bz_simcore::SimDuration;
 use bz_wsn::message::DataType;
 
 fn main() {
-    bz_bench::harness(|| {
+    bz_bench::harness(|obs| {
         header("Fig. 14 — send-period adaptation across door events");
         println!("  running the 5-hour networking trial once...");
-        let outcome = NetworkTrial::paper_setup().run();
+        let outcome = NetworkTrial::paper_setup().run(obs.clone());
         let stream = outcome
             .s1_temperature_stream
             .or_else(|| outcome.busiest_stream(DataType::Temperature))

@@ -19,12 +19,12 @@ use bz_wsn::energy::EnergyModel;
 use bz_wsn::message::DataType;
 
 fn main() {
-    bz_bench::harness(|| {
+    bz_bench::harness(|obs| {
         header("Fig. 15 — send-period CDF and battery lifetime");
         println!("  running the 5-hour networking trial (adaptive)...");
-        let adaptive = NetworkTrial::paper_setup().run();
+        let adaptive = NetworkTrial::paper_setup().run(obs.clone());
         println!("  running the 5-hour networking trial (fixed)...");
-        let fixed = NetworkTrial::with_mode(BtMode::Fixed).run();
+        let fixed = NetworkTrial::with_mode(BtMode::Fixed).run(obs.clone());
 
         let periods = adaptive.send_periods_s(DataType::Temperature);
         let cdf = Cdf::from_samples(periods);

@@ -362,9 +362,9 @@ fn apply_params(config: &mut SystemConfig, params: &GridPoint, minutes: u64) -> 
 }
 
 /// Builds the closed-loop system for one run spec, recording into `obs`.
-/// This is the single construction recipe shared by the sweep executor
-/// and the `bzctl serve` tenant factory, so a tenant driven over the
-/// wire is the same simulation as the offline run.
+/// This is the single construction recipe shared by the sweep executor,
+/// `bzctl trial` and the `bzctl serve` tenant factory, so a tenant driven
+/// over the wire is the same simulation as the offline run.
 ///
 /// # Errors
 ///

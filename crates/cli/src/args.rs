@@ -98,19 +98,29 @@ impl Args {
         self.values.get(name).and_then(|v| v.as_deref())
     }
 
+    /// String value of a flag that takes one: `None` when it is absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the flag is present without a value, so a
+    /// truncated invocation cannot silently skip what the flag asks for.
+    pub fn value(&self, name: &str) -> Result<Option<&str>, ArgError> {
+        match self.values.get(name) {
+            None => Ok(None),
+            Some(Some(value)) => Ok(Some(value)),
+            Some(None) => Err(ArgError(format!("flag --{name} needs a value"))),
+        }
+    }
+
     /// Typed value with a default.
     ///
     /// # Errors
     ///
-    /// Returns an error if the flag is present but fails to parse.
+    /// Returns an error if the flag is present without a value or fails
+    /// to parse.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
-        match self.get(name) {
-            None => {
-                if self.values.contains_key(name) {
-                    return Err(ArgError(format!("flag --{name} needs a value")));
-                }
-                Ok(default)
-            }
+        match self.value(name)? {
+            None => Ok(default),
             Some(text) => text
                 .parse()
                 .map_err(|_| ArgError(format!("could not parse --{name} value '{text}'"))),
@@ -165,6 +175,15 @@ mod tests {
         let args = parse(&["--fixed", "--minutes", "30"]);
         assert!(args.flag("fixed"));
         assert_eq!(args.get_or("minutes", 0u64).unwrap(), 30);
+    }
+
+    #[test]
+    fn value_rejects_a_valueless_flag() {
+        let args = parse(&["--metrics-out", "--seed=7"]);
+        assert_eq!(args.value("seed").unwrap(), Some("7"));
+        assert_eq!(args.value("missing").unwrap(), None);
+        let err = args.value("metrics-out").unwrap_err();
+        assert_eq!(err.to_string(), "flag --metrics-out needs a value");
     }
 
     #[test]

@@ -49,10 +49,7 @@ impl CheckpointOpts {
     /// Rejects malformed values, a zero cadence, and any of the family
     /// used without `--checkpoint-dir`.
     pub fn from_args(args: &Args) -> Result<Self, ArgError> {
-        let dir = match (args.flag("checkpoint-dir"), args.get("checkpoint-dir")) {
-            (true, None) => return Err(ArgError::new("flag --checkpoint-dir needs a value")),
-            (_, value) => value.map(PathBuf::from),
-        };
+        let dir = args.value("checkpoint-dir")?.map(PathBuf::from);
         let every_s = match args.get_or("checkpoint-every", 0u64)? {
             0 if args.flag("checkpoint-every") => {
                 return Err(ArgError::new(

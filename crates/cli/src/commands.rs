@@ -150,36 +150,33 @@ pub fn run(command: &str, raw: Vec<String>) -> Result<String, ArgError> {
     }
 }
 
-/// Output paths for the run's telemetry artifacts.
+/// One command's telemetry: the handle its run records into and the
+/// output paths for its artifacts.
 struct Telemetry {
+    /// Enabled only when an output path was given; private to the
+    /// command, so in-process callers never share metric state.
+    obs: bz_obs::Handle,
     /// `--metrics-out` path (JSONL, or CSV when it ends in `.csv`).
     metrics: Option<String>,
     /// `--flamegraph-out` path (collapsed-stack lines).
     flame: Option<String>,
 }
 
-/// Turns telemetry on (cleared) when `--metrics-out` or
-/// `--flamegraph-out` was given and returns the output paths.
+/// Reads `--metrics-out` and `--flamegraph-out` and creates the
+/// command's telemetry handle, enabled when either was given.
 ///
 /// # Errors
 ///
 /// Returns an error if either flag is present without a path, so a
 /// truncated invocation cannot silently skip the export.
 fn metrics_begin(args: &Args) -> Result<Telemetry, ArgError> {
-    let path_of = |name: &str| -> Result<Option<String>, ArgError> {
-        match args.get(name) {
-            Some(path) => Ok(Some(path.to_owned())),
-            None if args.flag(name) => Err(ArgError::new(format!("flag --{name} needs a value"))),
-            None => Ok(None),
-        }
-    };
     let telemetry = Telemetry {
-        metrics: path_of("metrics-out")?,
-        flame: path_of("flamegraph-out")?,
+        obs: bz_obs::Handle::new(),
+        metrics: args.value("metrics-out")?.map(str::to_owned),
+        flame: args.value("flamegraph-out")?.map(str::to_owned),
     };
     if telemetry.metrics.is_some() || telemetry.flame.is_some() {
-        bz_obs::enable();
-        bz_obs::reset();
+        telemetry.obs.enable();
     }
     Ok(telemetry)
 }
@@ -193,26 +190,27 @@ fn metrics_finish(telemetry: &Telemetry, streamed: bool, out: &mut String) -> Re
     if telemetry.metrics.is_none() && telemetry.flame.is_none() {
         return Ok(());
     }
-    bz_obs::disable();
+    let obs = &telemetry.obs;
+    obs.disable();
     if let Some(path) = &telemetry.metrics {
         if streamed {
-            bz_obs::finish_stream()
+            obs.finish_stream()
                 .map_err(|e| ArgError::new(format!("cannot finish stream to {path}: {e}")))?;
-            *out += &format!("\nmetrics streamed to {path}\n{}", bz_obs::summary_table());
+            *out += &format!("\nmetrics streamed to {path}\n{}", obs.summary_table());
         } else {
             let file = File::create(path)
                 .map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
             let written = if path.ends_with(".csv") {
-                bz_obs::write_csv(file)
+                obs.write_csv(file)
             } else {
-                bz_obs::write_jsonl(file)
+                obs.write_jsonl(file)
             };
             written.map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-            *out += &format!("\nmetrics written to {path}\n{}", bz_obs::summary_table());
+            *out += &format!("\nmetrics written to {path}\n{}", obs.summary_table());
         }
     }
     if let Some(path) = &telemetry.flame {
-        let stacks = bz_obs::collapsed_stacks(&bz_obs::snapshot());
+        let stacks = bz_obs::collapsed_stacks(&obs.snapshot());
         std::fs::write(path, stacks)
             .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
         *out += &format!("flamegraph stacks written to {path}\n");
@@ -252,15 +250,14 @@ fn trial(args: &Args) -> Result<String, ArgError> {
         ),
     )?;
     let metrics = metrics_begin(args)?;
-
-    let plant = PlantConfig::bubble_zero_lab()
-        .with_seed(seed ^ 0x9E37)
-        .with_disturbances(DisturbanceSchedule::figure10_afternoon());
-    let config = SystemConfig {
+    let spec = sweep::RunSpec {
+        index: 0,
+        scenario: sweep::Scenario::Trial,
         seed,
-        ..SystemConfig::paper_deployment(plant)
+        minutes,
+        params: Vec::new(),
     };
-    let mut system = BubbleZeroSystem::new(config);
+    let mut system = sweep::build_system(&spec, metrics.obs.clone()).map_err(ArgError::new)?;
     let mut trace = TraceRecorder::new();
     let mut out = String::new();
     let mut start_minute = 0;
@@ -281,7 +278,7 @@ fn trial(args: &Args) -> Result<String, ArgError> {
         system.run_seconds(60);
         // Per-minute counter samples give the export trajectories, not
         // just end-of-run totals.
-        bz_obs::record_counters(system.now().as_millis());
+        metrics.obs.record_counters(system.now().as_millis());
         let plant = system.plant();
         for id in SubspaceId::ALL {
             trace.record(
@@ -348,17 +345,19 @@ fn cop(args: &Args) -> Result<String, ArgError> {
     let meter: u64 = args.get_or("meter-mins", 20)?;
     let metrics = metrics_begin(args)?;
 
-    let mut system = BubbleZeroSystem::new(SystemConfig::paper_deployment(
-        PlantConfig::bubble_zero_lab(),
-    ));
+    let mut system = BubbleZeroSystem::with_obs(
+        SystemConfig::paper_deployment(PlantConfig::bubble_zero_lab()),
+        metrics.obs.clone(),
+    );
     system.run_seconds(settle * 60);
     system.plant_mut_reset_meters();
-    bz_obs::record_counters(system.now().as_millis());
+    metrics.obs.record_counters(system.now().as_millis());
     system.run_seconds(meter * 60);
-    bz_obs::record_counters(system.now().as_millis());
+    metrics.obs.record_counters(system.now().as_millis());
     let summary = CopSummary::from_meters(system.plant().meters());
 
-    let mut aircon = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
+    let mut aircon =
+        AirConSystem::new(AirConConfig::for_bubble_zero_lab()).with_obs(metrics.obs.clone());
     aircon.run_seconds(settle * 60);
     aircon.reset_meters();
     aircon.run_seconds(meter * 60);
@@ -390,10 +389,11 @@ fn network(args: &Args) -> Result<String, ArgError> {
         BtMode::Adaptive
     };
     let metrics = metrics_begin(args)?;
+    let duration = SimDuration::from_mins(minutes);
     let outcome = NetworkTrial::with_mode(mode)
-        .with_duration(SimDuration::from_mins(minutes))
-        .run();
-    bz_obs::record_counters(SimDuration::from_mins(minutes).as_millis());
+        .with_duration(duration)
+        .run(metrics.obs.clone());
+    metrics.obs.record_counters(duration.as_millis());
     let tx: u64 = outcome.reports.iter().map(|r| r.transmissions).sum();
     let samples: u64 = outcome.reports.iter().map(|r| r.samples).sum();
     let lifetimes: Vec<f64> = outcome
@@ -511,10 +511,10 @@ fn sniff(args: &Args) -> Result<String, ArgError> {
         enable_sniffer: true,
         ..SystemConfig::paper_deployment(PlantConfig::bubble_zero_lab())
     };
-    let mut system = BubbleZeroSystem::new(config);
+    let mut system = BubbleZeroSystem::with_obs(config, metrics.obs.clone());
     for _ in 0..minutes {
         system.run_seconds(60);
-        bz_obs::record_counters(system.now().as_millis());
+        metrics.obs.record_counters(system.now().as_millis());
     }
     let sniffer = system.sniffer().expect("sniffer enabled");
 
@@ -594,13 +594,14 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
         }
         let file =
             File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
-        bz_obs::stream_to(Box::new(file));
+        metrics.obs.stream_to(Box::new(file));
     }
     let duration = SimDuration::from_hours(days * 24);
     let mut rng = bz_simcore::Rng::seed_from(0x7DA7);
     let plant = PlantConfig::bubble_zero_lab()
         .with_disturbances(DisturbanceSchedule::periodic_events(duration, &mut rng));
-    let mut system = BubbleZeroSystem::new(SystemConfig::paper_deployment(plant));
+    let mut system =
+        BubbleZeroSystem::with_obs(SystemConfig::paper_deployment(plant), metrics.obs.clone());
     let mut out = String::new();
     let mut start_day = 0;
     if let Some(session) = &mut session {
@@ -614,7 +615,7 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
     }
     for day in start_day + 1..=days {
         system.run_seconds(24 * 3_600);
-        bz_obs::record_counters(system.now().as_millis());
+        metrics.obs.record_counters(system.now().as_millis());
         out += &format!(
             "day {day}: T1 {:.2} °C, dew1 {:.2} °C, condensate {:.4} kg
 ",
@@ -680,29 +681,18 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
     }
     let quiet = args.flag("quiet");
     let grid = sweep::parse_grid(args.get("grid").unwrap_or("")).map_err(ArgError::new)?;
-    let report_path = match args.get("metrics-out") {
-        Some(path) => Some(path.to_owned()),
-        None if args.flag("metrics-out") => {
-            return Err(ArgError::new("flag --metrics-out needs a value"))
-        }
-        None => None,
-    };
-    let out_dir = match args.get("out-dir") {
-        Some(dir) => Some(dir.to_owned()),
-        None if args.flag("out-dir") => return Err(ArgError::new("flag --out-dir needs a value")),
-        None => None,
-    };
+    let report_path = args.value("metrics-out")?;
+    let out_dir = args.value("out-dir")?;
 
     let opts = CheckpointOpts::from_args(args)?;
     let retries: u32 = args.get_or("retries", 0)?;
     let backoff_ms: u64 = args.get_or("backoff-ms", 250)?;
-    let kills = match args.get("kill") {
+    let kills = match args.value("kill")? {
         Some(spec) => spec
             .split(',')
             .map(sweep::parse_kill)
             .collect::<Result<Vec<_>, _>>()
             .map_err(ArgError::new)?,
-        None if args.flag("kill") => return Err(ArgError::new("flag --kill needs a value")),
         None => Vec::new(),
     };
 
@@ -755,7 +745,7 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
             outcome.cached, outcome.resumed, outcome.retried,
         );
     }
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| ArgError::new(format!("cannot create {dir}: {e}")))?;
         for result in &results {
@@ -765,7 +755,7 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
         }
         out += &format!("per-run metrics written to {dir}/run-NNN.jsonl\n");
     }
-    if let Some(path) = &report_path {
+    if let Some(path) = report_path {
         let report = if path.ends_with(".csv") {
             sweep::report_csv(&results)
         } else {
@@ -824,20 +814,15 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
     let seed: u64 = args.get_or("seed", bz_bench::throughput::DEFAULT_SEED)?;
     let baseline: f64 = args.get_or("baseline", f64::NAN)?;
     let baseline = (!baseline.is_nan()).then_some(baseline);
-    let json_out = match args.get("json-out") {
-        Some(path) => Some(path.to_owned()),
-        None if args.flag("json-out") => {
-            return Err(ArgError::new("flag --json-out needs a value"))
-        }
-        None => Some("BENCH_0009.json".to_owned()),
-    };
-    let noise = match args.get("noise") {
-        Some(name) => Some(NoiseKernel::parse(name).ok_or_else(|| {
-            ArgError::new(format!("unknown noise kernel '{name}' (expected: v1, v2)"))
-        })?),
-        None if args.flag("noise") => return Err(ArgError::new("flag --noise needs a value")),
-        None => None,
-    };
+    let json_out = args.value("json-out")?.unwrap_or("BENCH_0009.json");
+    let noise = args
+        .value("noise")?
+        .map(|name| {
+            NoiseKernel::parse(name).ok_or_else(|| {
+                ArgError::new(format!("unknown noise kernel '{name}' (expected: v1, v2)"))
+            })
+        })
+        .transpose()?;
     let ab_pairs: u64 = args.get_or("ab", 0)?;
     let check = args.flag("check");
     let floor: f64 = args.get_or("min-sim-per-wall", 0.0)?;
@@ -864,11 +849,9 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
                 report.sim_per_wall() / base,
             );
         }
-        if let Some(path) = &json_out {
-            std::fs::write(path, report.to_json(baseline))
-                .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-            out += &format!("bench record written to {path}\n");
-        }
+        std::fs::write(json_out, report.to_json(baseline))
+            .map_err(|e| ArgError::new(format!("cannot write {json_out}: {e}")))?;
+        out += &format!("bench record written to {json_out}\n");
         if check && report.sim_per_wall() < floor {
             return Err(ArgError::new(format!(
                 "throughput regression: {:.0} sim-s/wall-s is below the floor {floor:.0}",
@@ -915,11 +898,9 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
             report.sim_per_wall / base,
         );
     }
-    if let Some(path) = &json_out {
-        std::fs::write(path, report.to_json(baseline))
-            .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-        out += &format!("bench record written to {path}\n");
-    }
+    std::fs::write(json_out, report.to_json(baseline))
+        .map_err(|e| ArgError::new(format!("cannot write {json_out}: {e}")))?;
+    out += &format!("bench record written to {json_out}\n");
     if check && report.sim_per_wall < floor {
         return Err(ArgError::new(format!(
             "throughput regression: {:.0} sim-s/wall-s is below the floor {floor:.0}",
@@ -1036,18 +1017,12 @@ fn loadgen(args: &Args) -> Result<String, ArgError> {
     let report =
         bz_serve::load::run(&config).map_err(|e| ArgError::new(format!("loadgen failed: {e}")))?;
     let mut out = report.summary();
-    let json_out = match args.get("json-out") {
-        Some(path) => Some(path.to_owned()),
-        None if args.flag("json-out") => {
-            return Err(ArgError::new("flag --json-out needs a value"))
-        }
-        None => Some(bz_bench::load::DEFAULT_JSON_OUT.to_owned()),
-    };
-    if let Some(path) = &json_out {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-        out += &format!("bench record written to {path}\n");
-    }
+    let json_out = args
+        .value("json-out")?
+        .unwrap_or(bz_bench::load::DEFAULT_JSON_OUT);
+    std::fs::write(json_out, report.to_json())
+        .map_err(|e| ArgError::new(format!("cannot write {json_out}: {e}")))?;
+    out += &format!("bench record written to {json_out}\n");
     if check {
         if min_rps > 0.0 && report.requests_per_second < min_rps {
             return Err(ArgError::new(format!(
@@ -1098,14 +1073,11 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
             "flamegraph-out",
         ],
     )?;
-    let mut scenario = match args.get("scenario") {
+    let mut scenario = match args.value("scenario")? {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| ArgError::new(format!("cannot read {path}: {e}")))?;
             ChaosScenario::from_json(&text).map_err(|e| ArgError::new(format!("{path}: {e}")))?
-        }
-        None if args.flag("scenario") => {
-            return Err(ArgError::new("flag --scenario needs a value"))
         }
         None => ChaosScenario::bundled_basic(),
     };
@@ -1128,7 +1100,7 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
     )?;
     let metrics = metrics_begin(args)?;
 
-    let mut chaos_run = scenario.begin_with_obs(bz_obs::Handle::global());
+    let mut chaos_run = scenario.begin_with_obs(metrics.obs.clone());
     let mut out = String::new();
     drive(&mut chaos_run, session, &mut out)?;
     let report = chaos_run.finish();
@@ -1163,15 +1135,12 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
             "quiet",
         ],
     )?;
-    let mut scenario = match args.get("scenario") {
+    let mut scenario = match args.value("scenario")? {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| ArgError::new(format!("cannot read {path}: {e}")))?;
             bz_predict::MpcScenario::from_json(&text)
                 .map_err(|e| ArgError::new(format!("{path}: {e}")))?
-        }
-        None if args.flag("scenario") => {
-            return Err(ArgError::new("flag --scenario needs a value"))
         }
         None => bz_predict::MpcScenario::bundled_office(),
     };
@@ -1189,18 +1158,13 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
         return Err(ArgError::new("--jobs must be positive"));
     }
     let quiet = args.flag("quiet");
-    let path_of = |name: &str| -> Result<Option<String>, ArgError> {
-        match args.get(name) {
-            Some(path) if name == "metrics-out" && path.ends_with(".csv") => Err(ArgError::new(
-                "mpc exports JSONL; --metrics-out must not end in .csv",
-            )),
-            Some(path) => Ok(Some(path.to_owned())),
-            None if args.flag(name) => Err(ArgError::new(format!("flag --{name} needs a value"))),
-            None => Ok(None),
-        }
-    };
-    let metrics_path = path_of("metrics-out")?;
-    let flame_path = path_of("flamegraph-out")?;
+    let metrics_path = args.value("metrics-out")?;
+    if metrics_path.is_some_and(|path| path.ends_with(".csv")) {
+        return Err(ArgError::new(
+            "mpc exports JSONL; --metrics-out must not end in .csv",
+        ));
+    }
+    let flame_path = args.value("flamegraph-out")?;
     let opts = CheckpointOpts::from_args(args)?;
     if opts.active() && args.flag("compare") {
         return Err(ArgError::new(
@@ -1249,12 +1213,12 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
         );
         run
     };
-    if let Some(path) = &metrics_path {
+    if let Some(path) = metrics_path {
         std::fs::write(path, &mpc_run.export)
             .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
         out += &format!("metrics written to {path}\n");
     }
-    if let Some(path) = &flame_path {
+    if let Some(path) = flame_path {
         std::fs::write(path, &mpc_run.flame)
             .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
         out += &format!("flamegraph stacks written to {path}\n");

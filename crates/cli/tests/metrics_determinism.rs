@@ -1,10 +1,8 @@
 //! The telemetry export must be a pure function of the seed: two
 //! identically-seeded `bzctl trial --metrics-out` runs write
 //! byte-identical files, and the export contains no wall-clock fields.
-//!
-//! This file holds a single `#[test]` on purpose: the bz-obs registry is
-//! process-global, so the two runs must happen serially in one process
-//! with nothing else emitting metrics.
+//! Each command records into a handle of its own, so this holds for runs
+//! made concurrently in one process too.
 
 use std::fs;
 use std::path::Path;
@@ -58,4 +56,33 @@ fn seeded_trial_emits_byte_identical_metrics() {
 
     let _ = fs::remove_file(&first);
     let _ = fs::remove_file(&second);
+}
+
+#[test]
+fn concurrent_trials_export_the_serial_bytes() {
+    let dir = std::env::temp_dir();
+    let path = |name: &str| dir.join(format!("bz_metrics_{}_{name}.jsonl", std::process::id()));
+    let serial = path("serial");
+    run_trial_with_metrics(&serial);
+    let expected = fs::read(&serial).expect("serial export readable");
+
+    let parallel = [path("thread_a"), path("thread_b")];
+    std::thread::scope(|scope| {
+        for file in &parallel {
+            scope.spawn(move || run_trial_with_metrics(file));
+        }
+    });
+    for file in &parallel {
+        let bytes = fs::read(file).expect("concurrent export readable");
+        assert!(
+            bytes == expected,
+            "{} differs from the serial export",
+            file.display()
+        );
+    }
+
+    let _ = fs::remove_file(&serial);
+    for file in &parallel {
+        let _ = fs::remove_file(file);
+    }
 }

@@ -106,6 +106,14 @@ impl AirConSystem {
         }
     }
 
+    /// Counts the thermostat's saturation in `obs` (telemetry is off
+    /// otherwise).
+    #[must_use]
+    pub fn with_obs(mut self, obs: bz_obs::Handle) -> Self {
+        self.thermostat = self.thermostat.with_obs(obs);
+        self
+    }
+
     /// Current simulation time.
     #[must_use]
     pub fn now(&self) -> SimTime {

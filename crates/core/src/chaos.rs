@@ -238,16 +238,10 @@ impl ChaosScenario {
             .and_then(|repairs| repairs.into_iter().max())
     }
 
-    /// Runs the scenario against the global telemetry handle.
-    #[must_use]
-    pub fn run(&self) -> ResilienceReport {
-        self.run_with_obs(bz_obs::Handle::global())
-    }
-
-    /// Runs the scenario against an explicit telemetry handle (tests use
+    /// Runs the scenario to completion, recording into `obs` (tests use
     /// [`bz_obs::Handle::isolated`] for reproducible exports).
     #[must_use]
-    pub fn run_with_obs(&self, obs: bz_obs::Handle) -> ResilienceReport {
+    pub fn run(&self, obs: bz_obs::Handle) -> ResilienceReport {
         let mut run = self.begin_with_obs(obs);
         while !run.is_done() {
             run.step_minute();
@@ -258,7 +252,7 @@ impl ChaosScenario {
     /// Starts the scenario as a resumable session: step it a minute at a
     /// time, checkpoint it with [`Run::save_state`], and restore it
     /// in a fresh process with [`Run::load_state`]. The whole-run
-    /// [`ChaosScenario::run_with_obs`] is a thin loop over this.
+    /// [`ChaosScenario::run`] is a thin loop over this.
     #[must_use]
     pub fn begin_with_obs(&self, obs: bz_obs::Handle) -> ChaosRun {
         let system = BubbleZeroSystem::with_obs(self.system_config(), obs.clone());
@@ -944,7 +938,7 @@ mod tests {
             wsn: WsnFaultSchedule::none(),
             disturbances: DisturbanceSchedule::none(),
         };
-        let report = scenario.run_with_obs(bz_obs::Handle::isolated());
+        let report = scenario.run(bz_obs::Handle::isolated());
         assert_eq!(report.onset_s, None);
         assert_eq!(report.time_to_detect_s, None);
         assert_eq!(report.time_to_recover_s, None);

@@ -38,7 +38,7 @@
 //! ```no_run
 //! use bz_core::scenario::AfternoonTrial;
 //!
-//! let outcome = AfternoonTrial::paper_setup().run();
+//! let outcome = AfternoonTrial::paper_setup().run(bz_obs::Handle::default());
 //! let fig10 = outcome.trace.series("Subsp1.temperature").unwrap();
 //! assert!(fig10.last().unwrap().value < 25.6);
 //! ```

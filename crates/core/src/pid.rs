@@ -71,15 +71,15 @@ pub struct Pid {
 }
 
 impl Pid {
-    /// Creates a controller at rest, counting saturation against the
-    /// global `bz_obs` registry.
+    /// Creates a controller at rest, with telemetry off until
+    /// [`Pid::with_obs`] supplies a handle to count saturation in.
     #[must_use]
     pub fn new(config: PidConfig) -> Self {
         Self {
             config,
             integral: 0.0,
             last_error: None,
-            obs: bz_obs::Handle::global(),
+            obs: bz_obs::Handle::default(),
             saturation: bz_obs::CounterKey::from_static("core.pid.saturation"),
         }
     }

@@ -114,8 +114,8 @@ pub struct RadiantController {
 }
 
 impl RadiantController {
-    /// Creates a controller for one panel, recording against the global
-    /// `bz_obs` registry.
+    /// Creates a controller for one panel, with telemetry off until
+    /// [`RadiantController::with_obs`] supplies a handle.
     #[must_use]
     pub fn new(config: RadiantConfig, targets: ComfortTargets, pump: Pump) -> Self {
         Self {
@@ -129,7 +129,7 @@ impl RadiantController {
             return_temp: None,
             mixed_temp: None,
             mix_trim_k: 0.0,
-            obs: bz_obs::Handle::global(),
+            obs: bz_obs::Handle::default(),
         }
     }
 

@@ -79,10 +79,10 @@ impl AfternoonTrial {
         &self.config
     }
 
-    /// Runs the trial to completion.
+    /// Runs the trial to completion, recording telemetry into `obs`.
     #[must_use]
-    pub fn run(self) -> TrialOutcome {
-        let mut system = BubbleZeroSystem::new(self.config);
+    pub fn run(self, obs: bz_obs::Handle) -> TrialOutcome {
+        let mut system = BubbleZeroSystem::with_obs(self.config, obs);
         let mut trace = TraceRecorder::new();
         let record_every_s = self.record_every.as_millis().div_ceil(1_000).max(1);
         let total_s = self.duration.as_millis() / 1_000;
@@ -239,9 +239,9 @@ impl NetworkTrial {
         &self.config
     }
 
-    /// Runs the trial to completion.
+    /// Runs the trial to completion, recording telemetry into `obs`.
     #[must_use]
-    pub fn run(self) -> NetworkTrialOutcome {
+    pub fn run(self, obs: bz_obs::Handle) -> NetworkTrialOutcome {
         let events: Vec<SimTime> = self
             .config
             .plant
@@ -259,7 +259,7 @@ impl NetworkTrial {
             .filter(|e| e.kind == bz_thermal::disturbance::OpeningKind::Door)
             .map(|e| e.at)
             .collect();
-        let mut system = BubbleZeroSystem::new(self.config);
+        let mut system = BubbleZeroSystem::with_obs(self.config, obs);
         let mut dew_trace = TraceRecorder::new();
         let total_s = self.duration.as_millis() / 1_000;
         for second in 1..=total_s {
@@ -529,7 +529,7 @@ mod tests {
     fn short_network_outcome() -> NetworkTrialOutcome {
         NetworkTrial::paper_setup()
             .with_duration(SimDuration::from_mins(40))
-            .run()
+            .run(bz_obs::Handle::default())
     }
 
     #[test]

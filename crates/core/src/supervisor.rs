@@ -314,7 +314,8 @@ pub struct SensorHealthSupervisor {
 }
 
 impl SensorHealthSupervisor {
-    /// Creates a supervisor recording against the global registry.
+    /// Creates a supervisor with telemetry off (see
+    /// [`SensorHealthSupervisor::with_obs`]).
     #[must_use]
     pub fn new(config: SupervisorConfig) -> Self {
         Self {
@@ -323,7 +324,7 @@ impl SensorHealthSupervisor {
             overflow: std::collections::BTreeMap::new(),
             pumps: Default::default(),
             detections: Vec::new(),
-            obs: bz_obs::Handle::global(),
+            obs: bz_obs::Handle::default(),
             accepted: bz_obs::CounterKey::from_static("supervisor.accepted"),
         }
     }

@@ -256,11 +256,11 @@ pub struct BubbleZeroSystem {
 }
 
 impl BubbleZeroSystem {
-    /// Builds the system at time zero, recording metrics against the
-    /// global `bz_obs` registry.
+    /// Builds the system at time zero with telemetry off (a private,
+    /// disabled `bz_obs` handle); see [`BubbleZeroSystem::with_obs`].
     #[must_use]
     pub fn new(config: SystemConfig) -> Self {
-        Self::with_obs(config, bz_obs::Handle::global())
+        Self::with_obs(config, bz_obs::Handle::default())
     }
 
     /// Builds the system at time zero with every component recording into

@@ -8,7 +8,7 @@ use bz_core::chaos::{ChaosScenario, AFFECTED_THRESHOLD_MIN};
 fn run_once() -> (bz_core::chaos::ResilienceReport, Vec<u8>) {
     let obs = bz_obs::Handle::isolated();
     obs.enable();
-    let report = ChaosScenario::bundled_basic().run_with_obs(obs.clone());
+    let report = ChaosScenario::bundled_basic().run(obs.clone());
     let mut jsonl = Vec::new();
     obs.write_jsonl(&mut jsonl).expect("export never fails");
     (report, jsonl)

@@ -1,12 +1,10 @@
 //! The instance-first entry point: a cheaply clonable [`Handle`] owning
 //! one [`Registry`] plus its enabled flag.
 //!
-//! Every recording operation in this crate goes through a `Handle`. The
-//! process-global facade (`bz_obs::counter_inc` and friends) is a thin
-//! wrapper over [`Handle::global`]; embedders that need isolation —
-//! parallel sweep runs, unit tests — create their own handle with
-//! [`Handle::isolated`] and thread it through the components they build,
-//! so concurrent runs never share mutable metric state.
+//! Every recording operation in this crate goes through a `Handle`. Each
+//! run creates its own — [`Handle::new`] disabled, [`Handle::isolated`]
+//! enabled — and threads it through the components it builds, so
+//! concurrent runs never share mutable metric state.
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,7 +16,8 @@ use crate::registry::{Registry, Snapshot};
 use crate::slot::{CounterKey, HistogramKey};
 use crate::span::SpanGuard;
 
-/// The process-wide handle behind the crate-level facade.
+/// The process-wide handle behind the crate-level facade (kept for the
+/// out-of-workspace benchmark package only).
 static GLOBAL: OnceLock<Handle> = OnceLock::new();
 
 /// A shared reference to one metrics registry and its enabled flag.
@@ -47,7 +46,10 @@ pub struct Handle {
 #[derive(Debug)]
 struct Inner {
     enabled: AtomicBool,
-    registry: Mutex<Registry>,
+    /// Created on first use: every component starts with a private
+    /// disabled handle that a run usually replaces at once, so building
+    /// one must cost no more than the allocation.
+    registry: Mutex<Option<Registry>>,
 }
 
 impl Handle {
@@ -55,7 +57,7 @@ impl Handle {
         Self {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(enabled),
-                registry: Mutex::new(Registry::new()),
+                registry: Mutex::new(None),
             }),
         }
     }
@@ -74,9 +76,12 @@ impl Handle {
         Self::with_enabled(true)
     }
 
-    /// The process-global handle (created disabled on first use). All the
-    /// crate-level facade functions operate on this handle, so components
-    /// built without an explicit handle keep feeding the global registry.
+    /// The process-global handle (created disabled on first use) that the
+    /// crate-level facade functions operate on. It remains only for the
+    /// out-of-workspace benchmark package, which drives the library trial
+    /// against it; components default to a private disabled handle, and
+    /// the workspace `clippy.toml` disallows calling this anywhere but the
+    /// facade.
     #[must_use]
     pub fn global() -> Self {
         GLOBAL.get_or_init(Self::new).clone()
@@ -115,7 +120,7 @@ impl Handle {
             // over.
             Err(poisoned) => poisoned.into_inner(),
         };
-        f(&mut guard)
+        f(guard.get_or_insert_with(Registry::new))
     }
 
     /// Clears all recorded metrics and events (the enabled flag is
@@ -432,8 +437,61 @@ mod tests {
         handle.span("s", 0).exit(10);
         let snapshot = handle.snapshot();
         assert!(snapshot.counters.is_empty());
+        assert!(snapshot.gauges.is_empty());
+        assert!(snapshot.histograms.is_empty());
         assert!(snapshot.events.is_empty());
         assert!(snapshot.spans.is_empty());
+    }
+
+    #[test]
+    fn spans_nest_and_record_depth_and_sim_duration() {
+        let obs = Handle::isolated();
+        let outer = obs.span("outer", 1_000);
+        let inner = obs.span("inner", 1_200);
+        inner.exit(1_300);
+        outer.exit(2_000);
+
+        let snapshot = obs.snapshot();
+        assert_eq!(snapshot.spans["outer"].sim_ms_total, 1_000);
+        assert_eq!(snapshot.spans["inner"].sim_ms_total, 100);
+        let depths: Vec<(&str, u32)> = snapshot
+            .events
+            .iter()
+            .filter_map(|event| match event {
+                crate::Event::Span { name, depth, .. } => Some((name.as_str(), *depth)),
+                _ => None,
+            })
+            .collect();
+        // Inner exits first, at depth 1; outer carries depth 0.
+        assert_eq!(depths, vec![("inner", 1), ("outer", 0)]);
+    }
+
+    #[test]
+    fn dropped_guard_still_counts_the_span() {
+        let obs = Handle::isolated();
+        {
+            let _guard = obs.span("dropped", 500);
+            // Early exit without `exit()`.
+        }
+        let stats = obs.snapshot().spans["dropped"];
+        assert_eq!(stats.count, 1);
+        assert_eq!(stats.sim_ms_total, 0);
+    }
+
+    #[test]
+    fn exit_before_entry_time_saturates_to_zero() {
+        let obs = Handle::isolated();
+        obs.span("backwards", 1_000).exit(400);
+        assert_eq!(obs.snapshot().spans["backwards"].sim_ms_total, 0);
+    }
+
+    #[test]
+    fn observe_uses_default_buckets() {
+        let obs = Handle::isolated();
+        obs.observe("h", 3.0);
+        let snapshot = obs.snapshot();
+        assert_eq!(snapshot.histograms["h"].edges(), DEFAULT_BUCKETS);
+        assert_eq!(snapshot.histograms["h"].count(), 1);
     }
 
     #[test]

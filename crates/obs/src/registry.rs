@@ -67,7 +67,7 @@ pub struct SpanStats {
 }
 
 /// An owned, inspectable copy of the registry state (see
-/// [`crate::snapshot`]).
+/// [`Handle::snapshot`](crate::Handle::snapshot)).
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter totals by key.
@@ -142,9 +142,9 @@ impl EventLog {
     }
 }
 
-/// The mutable store behind the crate's global facade. It is a plain
-/// struct so unit tests (and alternative embeddings) can drive one
-/// directly without touching process-global state.
+/// The mutable store behind each [`Handle`](crate::Handle). It is a
+/// plain struct so unit tests (and alternative embeddings) can drive one
+/// directly, without a handle's lock or enabled flag.
 ///
 /// Counters and histograms are slot-indexed (see [`CounterKey`]): their
 /// values sit in dense storage that cached keys index directly, and a

@@ -51,11 +51,11 @@ pub struct EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue recording throughput counters against the
-    /// global `bz_obs` registry.
+    /// Creates an empty queue with telemetry off (a private, disabled
+    /// `bz_obs` handle); see [`EventQueue::with_obs`].
     #[must_use]
     pub fn new() -> Self {
-        Self::with_obs(bz_obs::Handle::global())
+        Self::with_obs(bz_obs::Handle::default())
     }
 
     /// Creates an empty queue recording against `obs` (per-run metric

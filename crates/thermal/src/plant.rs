@@ -402,7 +402,8 @@ pub struct ThermalPlant {
 const ADJACENCY: [(usize, usize); 4] = [(0, 1), (2, 3), (0, 2), (1, 3)];
 
 impl ThermalPlant {
-    /// Builds the plant in its initial condition.
+    /// Builds the plant in its initial condition, with telemetry off
+    /// until [`ThermalPlant::with_obs`] supplies a handle.
     #[must_use]
     pub fn new(config: PlantConfig) -> Self {
         let mut rng = Rng::seed_from(config.seed).with_kernel(config.noise);
@@ -448,7 +449,7 @@ impl ThermalPlant {
             sensor_fault_rng,
             stuck_latch: std::collections::BTreeMap::new(),
             read_pass: ReadPass::default(),
-            obs: bz_obs::Handle::global(),
+            obs: bz_obs::Handle::default(),
         }
     }
 

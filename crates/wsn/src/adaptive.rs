@@ -126,8 +126,8 @@ pub struct BtAdaptive {
 }
 
 impl BtAdaptive {
-    /// Creates a scheduler; the first sample always transmits. Period
-    /// changes are recorded against the global `bz_obs` registry.
+    /// Creates a scheduler; the first sample always transmits. Telemetry
+    /// is off until [`BtAdaptive::with_obs`] supplies a handle.
     #[must_use]
     pub fn new(config: AdaptiveConfig) -> Self {
         Self {
@@ -142,7 +142,7 @@ impl BtAdaptive {
             transmissions: 0,
             samples: 0,
             config,
-            obs: bz_obs::Handle::global(),
+            obs: bz_obs::Handle::default(),
         }
     }
 

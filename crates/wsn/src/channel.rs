@@ -179,8 +179,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network with its own random stream, recording packet
-    /// counters against the global `bz_obs` registry.
+    /// Creates a network with its own random stream and telemetry off (a
+    /// private, disabled `bz_obs` handle); see [`Network::with_obs`].
     #[must_use]
     pub fn new(config: NetworkConfig, rng: Rng) -> Self {
         Self {
@@ -190,7 +190,7 @@ impl Network {
             stats: ChannelStats::default(),
             failures: Vec::new(),
             faults: WsnFaultSchedule::none(),
-            obs: bz_obs::Handle::global(),
+            obs: bz_obs::Handle::default(),
             metrics: ChannelMetrics::default(),
             done_buf: Vec::new(),
         }

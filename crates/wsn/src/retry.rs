@@ -59,14 +59,15 @@ pub struct ControlRetrier {
 }
 
 impl ControlRetrier {
-    /// Creates a retrier recording counters against the global registry.
+    /// Creates a retrier with telemetry off (see
+    /// [`ControlRetrier::with_obs`]).
     #[must_use]
     pub fn new(config: RetryConfig) -> Self {
         Self {
             config,
             pending: Vec::new(),
             attempts: Vec::new(),
-            obs: bz_obs::Handle::global(),
+            obs: bz_obs::Handle::default(),
         }
     }
 

@@ -13,7 +13,7 @@ use bubblezero::thermal::zone::SubspaceId;
 
 fn main() {
     println!("running the 13:00-14:45 trial...");
-    let outcome = AfternoonTrial::paper_setup().run();
+    let outcome = AfternoonTrial::paper_setup().run(bubblezero::obs::Handle::default());
 
     println!();
     println!("timeline (subspace 1):");

@@ -31,7 +31,7 @@
 //! ```no_run
 //! use bubblezero::core::scenario::AfternoonTrial;
 //!
-//! let outcome = AfternoonTrial::paper_setup().run();
+//! let outcome = AfternoonTrial::paper_setup().run(bubblezero::obs::Handle::default());
 //! println!("overall COP: {:.2}", outcome.cop.cop_overall());
 //! assert!(outcome.panel_condensate_kg < 1e-6, "no condensation allowed");
 //! ```

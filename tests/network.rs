@@ -3,6 +3,7 @@
 
 use bubblezero::core::scenario::{NetworkTrial, VarianceReplay};
 use bubblezero::core::system::{BtMode, BubbleZeroSystem, SystemConfig};
+use bubblezero::obs::Handle;
 use bubblezero::simcore::SimDuration;
 use bubblezero::thermal::plant::PlantConfig;
 use bubblezero::wsn::message::DataType;
@@ -10,7 +11,7 @@ use bubblezero::wsn::message::DataType;
 fn short_trial() -> bubblezero::core::scenario::NetworkTrialOutcome {
     NetworkTrial::paper_setup()
         .with_duration(SimDuration::from_mins(45))
-        .run()
+        .run(Handle::default())
 }
 
 #[test]
@@ -52,7 +53,7 @@ fn adaptive_traffic_is_a_fraction_of_fixed() {
     let adaptive = short_trial();
     let fixed = NetworkTrial::with_mode(BtMode::Fixed)
         .with_duration(SimDuration::from_mins(45))
-        .run();
+        .run(Handle::default());
     let tx_adaptive: u64 = adaptive.reports.iter().map(|r| r.transmissions).sum();
     let tx_fixed: u64 = fixed.reports.iter().map(|r| r.transmissions).sum();
     assert!(
