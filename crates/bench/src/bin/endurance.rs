@@ -9,22 +9,16 @@
 //! the adaptive schedules stay stretched, and the battery projections
 //! remain on the multi-year track.
 
+use bz_bench::sweep::fixed_endurance_system;
 use bz_bench::{header, row};
-use bz_core::system::{BubbleZeroSystem, SystemConfig};
-use bz_simcore::{Rng, SimDuration};
-use bz_thermal::disturbance::DisturbanceSchedule;
-use bz_thermal::plant::PlantConfig;
+use bz_simcore::SimDuration;
 use bz_thermal::zone::SubspaceId;
 
 fn main() {
     bz_bench::harness(|obs| {
         header("Endurance — 7 simulated days of continuous operation");
         let duration = SimDuration::from_hours(7 * 24);
-        let mut rng = Rng::seed_from(0x7DA7);
-        let plant = PlantConfig::bubble_zero_lab()
-            .with_disturbances(DisturbanceSchedule::periodic_events(duration, &mut rng));
-        let config = SystemConfig::paper_deployment(plant);
-        let mut system = BubbleZeroSystem::with_obs(config, obs.clone());
+        let mut system = fixed_endurance_system(duration, obs.clone());
 
         let mut comfort_violation_minutes = 0u64;
         let mut worst_temp_error = 0.0f64;

@@ -363,33 +363,33 @@ fn apply_params(config: &mut SystemConfig, params: &GridPoint, minutes: u64) -> 
 
 /// Builds the closed-loop system for one run spec, recording into `obs`.
 /// This is the single construction recipe shared by the sweep executor,
-/// `bzctl trial` and the `bzctl serve` tenant factory, so a tenant driven
-/// over the wire is the same simulation as the offline run.
+/// `bzctl trial`, `bzctl bench throughput`, perfbench and the `bzctl
+/// serve` tenant factory, so a tenant driven over the wire is the same
+/// simulation as the offline run.
+///
+/// Every scenario here is seeded from the spec through
+/// [`SystemConfig::seeded`], so the `endurance` scenario is a different
+/// program from [`fixed_endurance_system`]: this one draws its door
+/// events from `seed ^ 0x7DA7` over `spec.minutes` and seeds the plant
+/// and network from the run seed; that one keeps the default seeds.
 ///
 /// # Errors
 ///
 /// Returns a message for invalid grid parameters.
 pub fn build_system(spec: &RunSpec, obs: bz_obs::Handle) -> Result<BubbleZeroSystem, String> {
-    let plant_seed = spec.seed ^ 0x9E37;
     let plant = match spec.scenario {
         Scenario::Trial => PlantConfig::bubble_zero_lab()
-            .with_seed(plant_seed)
             .with_disturbances(DisturbanceSchedule::figure10_afternoon()),
-        Scenario::Network => PlantConfig::bubble_zero_lab().with_seed(plant_seed),
+        Scenario::Network => PlantConfig::bubble_zero_lab(),
         Scenario::Endurance => {
             let mut rng = Rng::seed_from(spec.seed ^ 0x7DA7);
-            PlantConfig::bubble_zero_lab()
-                .with_seed(plant_seed)
-                .with_disturbances(DisturbanceSchedule::periodic_events(
-                    SimDuration::from_mins(spec.minutes),
-                    &mut rng,
-                ))
+            PlantConfig::bubble_zero_lab().with_disturbances(DisturbanceSchedule::periodic_events(
+                SimDuration::from_mins(spec.minutes),
+                &mut rng,
+            ))
         }
     };
-    let mut config = SystemConfig {
-        seed: spec.seed,
-        ..SystemConfig::paper_deployment(plant)
-    };
+    let mut config = SystemConfig::seeded(spec.seed, plant);
     apply_params(&mut config, &spec.params, spec.minutes)?;
     let system = match strategy_of(&spec.params)? {
         Some(mpc) => {
@@ -407,6 +407,19 @@ pub fn build_system(spec: &RunSpec, obs: bz_obs::Handle) -> Result<BubbleZeroSys
         None => BubbleZeroSystem::with_obs(config, obs),
     };
     Ok(system)
+}
+
+/// The fixed-seed endurance run of `bzctl endurance` and the
+/// `endurance` figure bin: door events drawn from `Rng` seed `0x7DA7`
+/// over `duration`, with the default plant and system seeds. Unlike the
+/// sweep's `endurance` scenario (see [`build_system`]) nothing here
+/// depends on a run seed, so every caller runs the same program.
+#[must_use]
+pub fn fixed_endurance_system(duration: SimDuration, obs: bz_obs::Handle) -> BubbleZeroSystem {
+    let mut rng = Rng::seed_from(0x7DA7);
+    let plant = PlantConfig::bubble_zero_lab()
+        .with_disturbances(DisturbanceSchedule::periodic_events(duration, &mut rng));
+    BubbleZeroSystem::with_obs(SystemConfig::paper_deployment(plant), obs)
 }
 
 /// Executes one run against a fresh isolated registry.

@@ -92,12 +92,6 @@ impl Args {
         self.values.contains_key(name)
     }
 
-    /// String value of a flag, if present with a value.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.values.get(name).and_then(|v| v.as_deref())
-    }
-
     /// String value of a flag that takes one: `None` when it is absent.
     ///
     /// # Errors

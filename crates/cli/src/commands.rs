@@ -10,7 +10,6 @@ use bz_core::system::{BtMode, BubbleZeroSystem, SystemConfig};
 use bz_psychro::{Celsius, Ppm};
 use bz_simcore::{NoiseKernel, SimDuration, TraceRecorder};
 use bz_thermal::comfort::{pmv, ppd, ComfortInputs};
-use bz_thermal::disturbance::DisturbanceSchedule;
 use bz_thermal::plant::PlantConfig;
 use bz_thermal::zone::SubspaceId;
 use bz_wsn::message::{DataType, NodeId};
@@ -59,8 +58,8 @@ COMMANDS:
                  strategy
     bench      wall-clock performance measurements
                  throughput  --minutes N (1920)  --seed S
-                 --json-out PATH (BENCH_0009.json)  --baseline F
-                 --noise v1|v2 (pin the kernel)  --ab N (interleaved pairs)
+                 --json-out PATH (record written only when given)
+                 --baseline F
                  --check --min-sim-per-wall F
                  --checkpoint-dir DIR --checkpoint-every SECS
                    (measure the checkpointing tax)
@@ -241,6 +240,7 @@ fn trial(args: &Args) -> Result<String, ArgError> {
     let minutes: u64 = args.get_or("minutes", 105)?;
     let seed: u64 = args.get_or("seed", 0x5EED_0001)?;
     let quiet = args.flag("quiet");
+    let csv = args.value("csv")?;
     let opts = CheckpointOpts::from_args(args)?;
     let mut session = opts.session(
         "trial",
@@ -317,7 +317,7 @@ fn trial(args: &Args) -> Result<String, ArgError> {
         plant.panel_condensate_total(),
         100.0 * system.network().stats().delivery_ratio(),
     );
-    if let Some(path) = args.get("csv") {
+    if let Some(path) = csv {
         let names: Vec<String> = SubspaceId::ALL
             .iter()
             .flat_map(|id| {
@@ -506,6 +506,7 @@ fn multihop(args: &Args) -> Result<String, ArgError> {
 fn sniff(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&["minutes", "csv", "metrics-out", "flamegraph-out"])?;
     let minutes: u64 = args.get_or("minutes", 10)?;
+    let csv = args.value("csv")?;
     let metrics = metrics_begin(args)?;
     let config = SystemConfig {
         enable_sniffer: true,
@@ -542,7 +543,7 @@ traffic by type:
         summaries.len()
     );
 
-    if let Some(path) = args.get("csv") {
+    if let Some(path) = csv {
         let file =
             File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
         sniffer
@@ -597,11 +598,7 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
         metrics.obs.stream_to(Box::new(file));
     }
     let duration = SimDuration::from_hours(days * 24);
-    let mut rng = bz_simcore::Rng::seed_from(0x7DA7);
-    let plant = PlantConfig::bubble_zero_lab()
-        .with_disturbances(DisturbanceSchedule::periodic_events(duration, &mut rng));
-    let mut system =
-        BubbleZeroSystem::with_obs(SystemConfig::paper_deployment(plant), metrics.obs.clone());
+    let mut system = sweep::fixed_endurance_system(duration, metrics.obs.clone());
     let mut out = String::new();
     let mut start_day = 0;
     if let Some(session) = &mut session {
@@ -664,8 +661,8 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
         "backoff-ms",
         "kill",
     ])?;
-    let scenario =
-        sweep::Scenario::parse(args.get("scenario").unwrap_or("trial")).map_err(ArgError::new)?;
+    let scenario = sweep::Scenario::parse(args.value("scenario")?.unwrap_or("trial"))
+        .map_err(ArgError::new)?;
     let runs: u64 = args.get_or("runs", 4)?;
     if runs == 0 {
         return Err(ArgError::new("--runs must be positive"));
@@ -680,7 +677,7 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
         return Err(ArgError::new("--jobs must be positive"));
     }
     let quiet = args.flag("quiet");
-    let grid = sweep::parse_grid(args.get("grid").unwrap_or("")).map_err(ArgError::new)?;
+    let grid = sweep::parse_grid(args.value("grid")?.unwrap_or("")).map_err(ArgError::new)?;
     let report_path = args.value("metrics-out")?;
     let out_dir = args.value("out-dir")?;
 
@@ -773,11 +770,11 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `bzctl bench <name>`: wall-clock performance measurements. The only
-/// bench so far is `throughput`, which runs the bundled trial scenario
-/// with telemetry off, reports sim-seconds per wall-second, and writes
-/// the `BENCH_*.json` record CI gates on (see docs/PERFORMANCE.md).
-/// `--noise` pins the kernel for a single run; `--ab N` instead measures
-/// N interleaved V1/V2 pass pairs and reports per-version medians.
+/// bench so far is `throughput`, which runs the `trial` scenario with
+/// telemetry off, reports sim-seconds per wall-second, and writes the
+/// `BENCH_*.json` record CI gates on to `--json-out` (see
+/// docs/PERFORMANCE.md). Claims of a speedup come from perfbench's
+/// interleaved pairs, not from this command.
 fn bench(raw: Vec<String>) -> Result<String, ArgError> {
     let mut raw = raw;
     let which = if raw.first().is_some_and(|t| !t.starts_with("--")) {
@@ -785,7 +782,6 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
     } else {
         return Err(ArgError::new(
             "usage: bzctl bench throughput [--minutes N] [--seed S] \
-             [--noise v1|v2] [--ab PAIRS] \
              [--json-out PATH] [--baseline F] [--check --min-sim-per-wall F]",
         ));
     };
@@ -800,8 +796,6 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
         "seed",
         "json-out",
         "baseline",
-        "noise",
-        "ab",
         "check",
         "min-sim-per-wall",
         "checkpoint-dir",
@@ -814,16 +808,7 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
     let seed: u64 = args.get_or("seed", bz_bench::throughput::DEFAULT_SEED)?;
     let baseline: f64 = args.get_or("baseline", f64::NAN)?;
     let baseline = (!baseline.is_nan()).then_some(baseline);
-    let json_out = args.value("json-out")?.unwrap_or("BENCH_0009.json");
-    let noise = args
-        .value("noise")?
-        .map(|name| {
-            NoiseKernel::parse(name).ok_or_else(|| {
-                ArgError::new(format!("unknown noise kernel '{name}' (expected: v1, v2)"))
-            })
-        })
-        .transpose()?;
-    let ab_pairs: u64 = args.get_or("ab", 0)?;
+    let json_out = args.value("json-out")?;
     let check = args.flag("check");
     let floor: f64 = args.get_or("min-sim-per-wall", 0.0)?;
     if check && floor <= 0.0 {
@@ -831,41 +816,6 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
     }
 
     let opts = CheckpointOpts::from_args(&args)?;
-    if ab_pairs > 0 {
-        if opts.active() {
-            return Err(ArgError::new(
-                "--ab cannot be combined with checkpointing flags",
-            ));
-        }
-        if noise.is_some() {
-            return Err(ArgError::new("--ab measures both kernels; drop --noise"));
-        }
-        let report = bz_bench::throughput::measure_ab(minutes, seed, ab_pairs as usize);
-        let mut out = report.summary();
-        out += "\n";
-        if let Some(base) = baseline {
-            out += &format!(
-                "baseline {base:.0} sim-s/wall-s, v2 speedup {:.2}x\n",
-                report.sim_per_wall() / base,
-            );
-        }
-        std::fs::write(json_out, report.to_json(baseline))
-            .map_err(|e| ArgError::new(format!("cannot write {json_out}: {e}")))?;
-        out += &format!("bench record written to {json_out}\n");
-        if check && report.sim_per_wall() < floor {
-            return Err(ArgError::new(format!(
-                "throughput regression: {:.0} sim-s/wall-s is below the floor {floor:.0}",
-                report.sim_per_wall(),
-            )));
-        }
-        if check {
-            out += &format!(
-                "check passed: {:.0} >= floor {floor:.0}\n",
-                report.sim_per_wall()
-            );
-        }
-        return Ok(out);
-    }
     let report = match (&opts.dir, opts.every_s) {
         (Some(dir), Some(every_s)) => {
             bz_bench::throughput::measure_trial_with_checkpoints(minutes, seed, every_s, dir)
@@ -876,16 +826,10 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
                 "bench --checkpoint-dir needs --checkpoint-every SECS",
             ))
         }
-        _ => match noise {
-            Some(noise) => bz_bench::throughput::measure_trial_with_noise(minutes, seed, noise),
-            None => bz_bench::throughput::measure_trial(minutes, seed),
-        },
+        _ => bz_bench::throughput::measure_trial(minutes, seed),
     };
     let mut out = report.summary_line();
     out += "\n";
-    if let Some(noise) = noise {
-        out += &format!("(noise kernel pinned to {noise})\n");
-    }
     if opts.active() {
         out += &format!(
             "(with a checkpoint every {} simulated seconds)\n",
@@ -898,9 +842,11 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
             report.sim_per_wall / base,
         );
     }
-    std::fs::write(json_out, report.to_json(baseline))
-        .map_err(|e| ArgError::new(format!("cannot write {json_out}: {e}")))?;
-    out += &format!("bench record written to {json_out}\n");
+    if let Some(path) = json_out {
+        std::fs::write(path, report.to_json(baseline))
+            .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
+        out += &format!("bench record written to {path}\n");
+    }
     if check && report.sim_per_wall < floor {
         return Err(ArgError::new(format!(
             "throughput regression: {:.0} sim-s/wall-s is below the floor {floor:.0}",
@@ -927,10 +873,10 @@ fn serve(args: &Args) -> Result<String, ArgError> {
         return Err(ArgError::new("--threads must be positive"));
     }
     let config = bz_serve::ServeConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:7033").to_owned(),
+        addr: args.value("addr")?.unwrap_or("127.0.0.1:7033").to_owned(),
         threads,
         max_inflight: args.get_or("max-inflight", 4)?,
-        checkpoint_dir: args.get("checkpoint-dir").map(std::path::PathBuf::from),
+        checkpoint_dir: args.value("checkpoint-dir")?.map(std::path::PathBuf::from),
         quiet: args.flag("quiet"),
     };
     bz_serve::server::install_signal_handlers();
@@ -970,7 +916,7 @@ fn loadgen(args: &Args) -> Result<String, ArgError> {
         "seed",
         "metrics-out",
     ])?;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7033").to_owned();
+    let addr = args.value("addr")?.unwrap_or("127.0.0.1:7033").to_owned();
 
     if args.flag("mirror") {
         let seed: u64 = args.get_or("seed", 0x5EED_0001)?;
@@ -978,7 +924,7 @@ fn loadgen(args: &Args) -> Result<String, ArgError> {
         if minutes == 0 {
             return Err(ArgError::new("--minutes must be positive"));
         }
-        let Some(path) = args.get("metrics-out") else {
+        let Some(path) = args.value("metrics-out")? else {
             return Err(ArgError::new("--mirror needs --metrics-out PATH"));
         };
         let name = format!("mirror-s{seed}-m{minutes}");
@@ -1373,6 +1319,21 @@ mod tests {
     }
 
     #[test]
+    fn trial_csv_without_a_path_is_refused() {
+        let err = run_err("trial", &["--minutes", "1", "--quiet", "--csv"]);
+        assert_eq!(err, "flag --csv needs a value");
+    }
+
+    #[test]
+    fn sweep_grid_without_a_value_is_refused() {
+        let err = run_err(
+            "sweep",
+            &["--runs", "1", "--minutes", "1", "--quiet", "--grid"],
+        );
+        assert_eq!(err, "flag --grid needs a value");
+    }
+
+    #[test]
     fn sniff_runs_short() {
         let out = run_ok("sniff", &["--minutes", "1"]);
         assert!(out.contains("sniffer capture"));
@@ -1464,6 +1425,13 @@ mod tests {
     }
 
     #[test]
+    fn bench_throughput_writes_no_record_without_json_out() {
+        let out = run_ok("bench", &["throughput", "--minutes", "1"]);
+        assert!(out.contains("throughput: 60 sim-seconds"));
+        assert!(!out.contains("bench record written"), "{out}");
+    }
+
+    #[test]
     fn bench_throughput_check_enforces_the_floor() {
         let dir = std::env::temp_dir().join("bzctl-bench-floor");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1483,55 +1451,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("throughput regression"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_throughput_pins_the_noise_kernel() {
-        let dir = std::env::temp_dir().join("bzctl-bench-noise");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("BENCH_test.json");
-        let out = run_ok(
-            "bench",
-            &[
-                "throughput",
-                "--minutes",
-                "1",
-                "--noise",
-                "v1",
-                "--json-out",
-                json.to_str().unwrap(),
-            ],
-        );
-        assert!(out.contains("noise kernel pinned to v1"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_throughput_ab_reports_both_medians() {
-        let dir = std::env::temp_dir().join("bzctl-bench-ab");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("BENCH_ab.json");
-        let out = run_ok(
-            "bench",
-            &[
-                "throughput",
-                "--minutes",
-                "1",
-                "--ab",
-                "1",
-                "--json-out",
-                json.to_str().unwrap(),
-                "--baseline",
-                "1",
-            ],
-        );
-        assert!(out.contains("v1 median:"));
-        assert!(out.contains("v2 median:"));
-        let record = std::fs::read_to_string(&json).unwrap();
-        assert!(record.contains("\"bench\": \"throughput-ab\""));
-        assert!(record.contains("\"v1_median_sim_per_wall\""));
-        assert!(record.contains("\"v2_median_sim_per_wall\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 

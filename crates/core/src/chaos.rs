@@ -190,14 +190,12 @@ impl ChaosScenario {
     #[must_use]
     pub fn system_config(&self) -> SystemConfig {
         let plant = PlantConfig::bubble_zero_lab()
-            .with_seed(self.seed ^ 0x9E37)
             .with_disturbances(self.disturbances.clone())
             .with_faults(self.actuators.clone())
             .with_sensor_faults(self.sensors.clone());
         SystemConfig {
-            seed: self.seed,
             wsn_faults: self.wsn.clone(),
-            ..SystemConfig::paper_deployment(plant)
+            ..SystemConfig::seeded(self.seed, plant)
         }
     }
 

@@ -68,8 +68,7 @@ impl AfternoonTrial {
     /// Same trial with a different seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self.config.plant = self.config.plant.clone().with_seed(seed ^ 0x9E37);
+        self.config = SystemConfig::seeded(seed, self.config.plant);
         self
     }
 

@@ -262,11 +262,7 @@ mod tests {
 
     fn session(seed: u64, minutes: u64) -> TenantSession {
         let obs = bz_obs::Handle::isolated();
-        let plant = PlantConfig::bubble_zero_lab().with_seed(seed ^ 0x9E37);
-        let config = SystemConfig {
-            seed,
-            ..SystemConfig::paper_deployment(plant)
-        };
+        let config = SystemConfig::seeded(seed, PlantConfig::bubble_zero_lab());
         let system = BubbleZeroSystem::with_obs(config, obs.clone());
         TenantSession::new(system, obs, minutes)
     }

@@ -113,6 +113,18 @@ impl SystemConfig {
         }
     }
 
+    /// The paper's deployment seeded for one run: system seed `seed`
+    /// and plant seed `seed ^ 0x9E37`, so the network and plant streams
+    /// never coincide. Every seeded scenario builds through this one
+    /// rule.
+    #[must_use]
+    pub fn seeded(seed: u64, plant: PlantConfig) -> Self {
+        Self {
+            seed,
+            ..Self::paper_deployment(plant.with_seed(seed ^ 0x9E37))
+        }
+    }
+
     /// Overrides the sampling period of one data type.
     #[must_use]
     pub fn with_sampling_override(mut self, data_type: DataType, period: SimDuration) -> Self {

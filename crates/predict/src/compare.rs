@@ -200,13 +200,8 @@ impl MpcScenario {
     /// The closed-loop system configuration for this scenario.
     #[must_use]
     pub fn system_config(&self) -> SystemConfig {
-        let plant = PlantConfig::bubble_zero_lab()
-            .with_seed(self.seed ^ 0x9E37)
-            .with_occupancy(self.occupancy_schedule());
-        SystemConfig {
-            seed: self.seed,
-            ..SystemConfig::paper_deployment(plant)
-        }
+        let plant = PlantConfig::bubble_zero_lab().with_occupancy(self.occupancy_schedule());
+        SystemConfig::seeded(self.seed, plant)
     }
 }
 

@@ -72,7 +72,7 @@ impl NoiseKernel {
         }
     }
 
-    /// Parses a kernel name as used by `BZ_NOISE` and `--noise`.
+    /// Parses a kernel name as used by `BZ_NOISE`.
     #[must_use]
     pub fn parse(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {

@@ -150,7 +150,8 @@ pub struct PlantConfig {
     /// batched/skipping fast paths. Both produce bit-identical results —
     /// this switch exists so the parity suites can prove it and so a
     /// suspicious run can be re-executed on the original code path.
-    /// Defaults to the `BZ_SCALAR_REFERENCE` environment variable.
+    /// Off by default; only [`PlantConfig::with_scalar_reference`]
+    /// turns it on, never the environment.
     pub scalar_reference: bool,
 }
 
@@ -175,7 +176,7 @@ impl PlantConfig {
             initial_co2: 520.0,
             seed: 0xB0BB_1E2E,
             noise: NoiseKernel::from_env(),
-            scalar_reference: scalar_reference_default(),
+            scalar_reference: false,
         }
     }
 
@@ -231,11 +232,13 @@ impl PlantConfig {
     }
 }
 
-/// Whether `BZ_SCALAR_REFERENCE` asks for the scalar reference paths
-/// (any non-empty value other than `0` counts as set).
+/// Always `false`: the environment never selects the scalar reference
+/// paths (see [`PlantConfig::with_scalar_reference`]). Kept only because
+/// perfbench links it to report a non-default program; delete it in the
+/// next change allowed to touch `perfbench/`.
 #[must_use]
 pub fn scalar_reference_default() -> bool {
-    std::env::var_os("BZ_SCALAR_REFERENCE").is_some_and(|v| !v.is_empty() && v != "0")
+    false
 }
 
 /// The sensor instruments attached to the plant.
